@@ -15,10 +15,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .constants import GAMMA_E
 from .depth import DepthDataset, FitDegenerateError, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
-from .grape import GrapeProblem, Waveform, fidelity, optimize, rotation_target
+from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
     DomainError,
@@ -89,7 +88,15 @@ def _new_manifest(ctx) -> RunManifest:
     )
 
 
-@click.group()
+class _RecordingGroup(click.Group):
+    """Keeps the argv it was invoked with; under ``rerun``, sys.argv is the rerun's."""
+
+    def parse_args(self, ctx, args):
+        ctx.meta["argv"] = list(args)
+        return super().parse_args(ctx, args)
+
+
+@click.group(cls=_RecordingGroup)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--out",
@@ -115,7 +122,7 @@ def main(ctx, seed, out, config, threads):
         "out": out,
         "config": config,
         "threads": max(1, threads),
-        "argv": sys.argv[1:],
+        "argv": ctx.meta["argv"],
     }
 
 

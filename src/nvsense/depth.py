@@ -24,7 +24,7 @@ and one overlap.
 
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit, minimize_scalar

@@ -18,7 +18,7 @@ decade, since Lorentzian-like tails dominate the corrections there.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit

@@ -11,12 +11,11 @@ distributed over workers.
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import poisson
 
-from .constants import GAMMA_E
 from .sensitivity import SensitivityBudget
 from .sequences import DDSequence
 

@@ -257,21 +257,17 @@ def sensitivity_from_timeseries(
         raise ValueError("need at least 100 shots")
     if signal_amplitude <= 0 or shot_duration <= 0:
         raise ValueError("amplitude and shot duration must be > 0")
-    if np.std(x) == 0:
-        raise DegenerateFitError("zero-variance outcomes carry no noise scale")
 
     ns = np.unique(np.geomspace(100, len(x), n_windows).astype(int))
+    # the windows are nested prefixes, so each has a noise scale if the first does
+    if np.std(x[: ns[0]]) == 0:
+        raise DegenerateFitError("zero-variance outcomes carry no noise scale")
     times = ns * shot_duration
     eta = np.empty(len(ns))
     for i, n in enumerate(ns):
         seg = x[:n]
-        mu = abs(np.mean(seg))
-        sem = np.std(seg, ddof=1) / np.sqrt(n)
-        snr = mu / sem if sem > 0 else np.inf
-        if snr == 0 or not np.isfinite(snr):
-            eta[i] = np.inf if snr == 0 else 0.0
-        else:
-            eta[i] = signal_amplitude * np.sqrt(times[i]) / snr
+        snr = abs(np.mean(seg)) / (np.std(seg, ddof=1) / np.sqrt(n))
+        eta[i] = signal_amplitude * np.sqrt(times[i]) / snr if snr > 0 else np.inf
     tail = times >= times[-1] / np.sqrt(10.0)
     asymptote = float(np.mean(eta[tail]))
     return times, eta, asymptote

@@ -17,7 +17,7 @@ numerically equal to the two-sided power spectral density of the field.
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -169,14 +169,15 @@ def coherence_from_spectrum(
 ) -> float:
     """Coherence C = exp(-dphi^2/2) from a one-sided noise spectrum.
 
-    ``spectrum`` is a NoiseSpectrum or any callable S(omega) in T^2/Hz.
-    ``method`` selects the delta-comb sum or quadrature against the exact
-    filter function.
+    ``spectrum`` is a NoiseSpectrum or any callable S(omega) in T^2/Hz;
+    the comb calls it once on the array of harmonics, so it must accept
+    arrays (every bundled spectrum does). ``method`` selects the delta-comb
+    sum or quadrature against the exact filter function.
     """
     s = _spectrum_callable(spectrum)
     if method == "comb":
         ff = filter_delta_comb(seq, k_max)
-        vals = np.asarray([s(w) for w in ff.harmonics()], dtype=float)
+        vals = np.asarray(s(ff.harmonics()), dtype=float)
         if np.any(vals < 0):
             raise ValueError("spectrum must be nonnegative")
         dphi2 = gamma**2 / np.pi * float(np.sum(ff.weights * vals))

@@ -9,12 +9,20 @@ fields on S_x (MW channel) or I_x (RF channel); the rotating-frame builder
 applies the rotating-wave approximation within a chosen level pair.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .constants import GAMMA_E, GAMMA_N15, TWO_PI, hz_to_rad
+from .constants import (
+    A_PARALLEL_HZ,
+    B0_TESLA,
+    D_ZFS_HZ,
+    GAMMA_E,
+    GAMMA_N15,
+    TWO_PI,
+    hz_to_rad,
+)
 
 UNITARITY_TOL = 1e-10
 
@@ -60,9 +68,9 @@ class SpinSystem:
     i_nuclear: float = 0.5
     gamma_e: float = GAMMA_E
     gamma_n_nv: float = GAMMA_N15
-    d_zfs: float = 2.870e9
-    a_parallel: float = 3.03e6
-    b0: float = 0.7662
+    d_zfs: float = D_ZFS_HZ
+    a_parallel: float = A_PARALLEL_HZ
+    b0: float = B0_TESLA
 
     def __post_init__(self):
         vals = [self.gamma_e, self.gamma_n_nv, self.d_zfs, self.a_parallel, self.b0]

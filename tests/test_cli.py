@@ -190,6 +190,16 @@ class TestErlCommand:
         proc = run_cli("rerun", tmp_path / "manifest.json")
         assert "byte-identically" in proc.stdout
 
+    def test_repeated_rerun_keeps_command(self, tmp_path):
+        run_cli("--out", tmp_path, "erl")
+        manifest_path = tmp_path / "manifest.json"
+        command = json.loads(manifest_path.read_text())["command"]
+        assert command == ["--out", str(tmp_path), "erl"]
+        for _ in range(2):
+            proc = run_cli("rerun", manifest_path)
+            assert "byte-identically" in proc.stdout
+            assert json.loads(manifest_path.read_text())["command"] == command
+
     def test_rerun_detects_tampering(self, tmp_path):
         run_cli("--out", tmp_path, "erl")
         manifest = json.loads((tmp_path / "manifest.json").read_text())

@@ -228,6 +228,13 @@ class TestSensitivityFromTimeseries:
         with pytest.raises(DegenerateFitError):
             sensitivity_from_timeseries(np.ones(500), 1e-9, 1e-3)
 
+    def test_zero_variance_prefix_degenerate(self):
+        # the first window is constant although the whole series is not;
+        # it used to report eta = 0, a perfect sensitivity
+        x = np.concatenate([np.ones(150), 1.0 + self._shots(0.0, 0.5, 5000)])
+        with pytest.raises(DegenerateFitError):
+            sensitivity_from_timeseries(x, 1e-9, 1e-3)
+
     def test_too_few_shots(self):
         with pytest.raises(ValueError):
             sensitivity_from_timeseries(np.ones(50), 1e-9, 1e-3)
