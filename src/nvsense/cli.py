@@ -2,11 +2,11 @@
 
 Subcommands: depth, noise, grape, sense, erl, gen, rerun. Every command
 honors --seed and writes a run manifest; plot outputs are plain CSV plus a
-JSON axis description. Exit codes: 0 success, 2 usage, 3 bad input data,
-4 numerical failure.
+JSON axis description. Exit codes: 0 success, 2 usage, 3 bad input data
+(``ValueError``, a missing key or an unreadable file), 4 numerical failure
+(``errors.NumericalError`` or any other ``ArithmeticError``).
 """
 
-import io
 import json
 import sys
 from pathlib import Path
@@ -15,23 +15,19 @@ import click
 import numpy as np
 
 from . import __version__
-from .depth import DepthDataset, FitDegenerateError, fit_depth
+from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
-    DomainError,
-    FitError,
     db_below_erl,
     deduct_t1,
     erl_noise_line,
     fit_lorentzian,
     reconstruct_spectrum,
 )
-from .protocol import ValidationError, nv3_config, run_experiment, simulate_fringe
+from .protocol import nv3_config, run_experiment, simulate_fringe
 from .sensitivity import (
-    AmbiguityError,
-    DegenerateFitError,
     erl_table_check,
     fit_fringe,
     load_reference_magnetometers,
@@ -39,19 +35,11 @@ from .sensitivity import (
     sensitivity_from_timeseries,
 )
 from .sequences import CoherenceCurve, DDSequence
+from .tables import write_table
 from . import synth
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-_NUMERICAL_ERRORS = (
-    FitError,
-    FitDegenerateError,
-    DegenerateFitError,
-    AmbiguityError,
-    ArithmeticError,
-)
-_DATA_ERRORS = (DomainError, ValidationError, ValueError, KeyError, OSError)
 
 
 def _fail(code: int, message: str):
@@ -62,9 +50,9 @@ def _fail(code: int, message: str):
 def _run(fn):
     try:
         fn()
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         _fail(EXIT_NUMERICAL, str(exc))
-    except _DATA_ERRORS as exc:
+    except (ValueError, KeyError, OSError) as exc:
         _fail(EXIT_DATA, str(exc))
 
 
@@ -171,11 +159,8 @@ def depth(ctx, dataset_csv, sidecar_json):
             json.dumps(report, sort_keys=True, indent=2) + "\n",
             manifest,
         )
-        buf = io.StringIO()
-        buf.write("tau_s,coherence_fit\n")
-        for t, c in zip(data.taus, fit_curve):
-            buf.write(f"{float(t)!r},{float(c)!r}\n")
-        _write(out, "depth_fit_curve.csv", buf.getvalue(), manifest)
+        curve = write_table("tau_s,coherence_fit", data.taus, fit_curve)
+        _write(out, "depth_fit_curve.csv", curve, manifest)
         _write(
             out,
             "depth_fit_curve.axes.json",
@@ -290,11 +275,10 @@ def grape(ctx, problem_json):
             target_infidelity=float(spec.get("target_infidelity", 1e-5)),
         )
         _write(out, "waveform.csv", result.waveform.to_csv(), manifest)
-        buf = io.StringIO()
-        buf.write("iteration,fidelity\n")
-        for i, f in enumerate(result.trace):
-            buf.write(f"{i},{float(f)!r}\n")
-        _write(out, "fidelity_trace.csv", buf.getvalue(), manifest)
+        trace = write_table(
+            "iteration,fidelity", range(len(result.trace)), result.trace
+        )
+        _write(out, "fidelity_trace.csv", trace, manifest)
         summary = {
             "fidelity": result.fidelity,
             "converged": result.converged,
@@ -338,11 +322,8 @@ def sense(ctx):
             shots_per_point=shots_per_point,
             seed=seed,
         )
-        buf = io.StringIO()
-        buf.write("volts,mean_photons\n")
-        for v, c in zip(volts, counts):
-            buf.write(f"{float(v)!r},{float(c)!r}\n")
-        _write(out, "fringe.csv", buf.getvalue(), manifest)
+        fringe_table = write_table("volts,mean_photons", volts, counts)
+        _write(out, "fringe.csv", fringe_table, manifest)
         _write(
             out,
             "fringe.axes.json",
@@ -364,11 +345,8 @@ def sense(ctx):
         times, eta, asym = sensitivity_from_timeseries(
             run.demodulated(), signal, config.shot_duration
         )
-        buf = io.StringIO()
-        buf.write("averaging_time_s,eta_t_per_sqrt_hz\n")
-        for t, e in zip(times, eta):
-            buf.write(f"{float(t)!r},{float(e)!r}\n")
-        _write(out, "eta_vs_time.csv", buf.getvalue(), manifest)
+        eta_table = write_table("averaging_time_s,eta_t_per_sqrt_hz", times, eta)
+        _write(out, "eta_vs_time.csv", eta_table, manifest)
         _write(
             out,
             "eta_vs_time.axes.json",
@@ -428,11 +406,13 @@ def erl(ctx, table_csv):
             + "\n",
             manifest,
         )
-        buf = io.StringIO()
-        buf.write("l_eff_m,e_r_hbar,kind\n")
-        for r in report:
-            buf.write(f"{r['l_eff_m']!r},{r['e_r_computed_hbar']!r},{r['kind']}\n")
-        _write(out, "erl_scatter.csv", buf.getvalue(), manifest)
+        scatter = write_table(
+            "l_eff_m,e_r_hbar,kind",
+            [r["l_eff_m"] for r in report],
+            [r["e_r_computed_hbar"] for r in report],
+            [r["kind"] for r in report],
+        )
+        _write(out, "erl_scatter.csv", scatter, manifest)
         _write(
             out,
             "erl_scatter.axes.json",

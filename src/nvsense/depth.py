@@ -22,7 +22,6 @@ enters the +-1 toggling function, so XY16 and CPMG trains share one filter
 and one overlap.
 """
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -30,14 +29,12 @@ import numpy as np
 from scipy.optimize import curve_fit, minimize_scalar
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
+from .errors import NumericalError
+from .tables import read_table, write_table
 
 # proton number densities (m^-3)
 RHO_GLYCERINE = 66e27
 RHO_IMMERSION_OIL = 69.5e27
-
-
-class FitDegenerateError(RuntimeError):
-    """The dataset carries no visible dip; the depth is unidentifiable."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,9 @@ def proton_signal_coherence(
     return np.exp(-(2 / np.pi**2) * gamma_e**2 * brms2 * k_vals)
 
 
+_DATASET_HEADER = "tau_s,coherence,sigma"
+
+
 @dataclass
 class DepthDataset:
     """One proton-NMR depth measurement: dip versus pulse spacing."""
@@ -139,11 +139,7 @@ class DepthDataset:
             raise ValueError("tau grid must be strictly increasing")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("tau_s,coherence,sigma\n")
-        for t, c, s in zip(self.taus, self.coherence, self.sigma):
-            buf.write(f"{float(t)!r},{float(c)!r},{float(s)!r}\n")
-        return buf.getvalue()
+        return write_table(_DATASET_HEADER, self.taus, self.coherence, self.sigma)
 
     def sidecar(self) -> str:
         return json.dumps(
@@ -159,13 +155,7 @@ class DepthDataset:
 
     @classmethod
     def from_csv(cls, text: str, sidecar: str) -> "DepthDataset":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "tau_s,coherence,sigma":
-            raise ValueError("missing tau_s,coherence,sigma header")
-        rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
-        if not rows:
-            raise ValueError("depth dataset has no data rows")
-        t, c, s = (np.array(col) for col in zip(*rows))
+        t, c, s = read_table(text, _DATASET_HEADER)
         meta = json.loads(sidecar)
         return cls(
             t,
@@ -200,7 +190,7 @@ def fit_depth(
     the fitted depth by the corresponding cube-root factor.
     """
     if np.min(data.coherence) >= 0.95:
-        raise FitDegenerateError("no visible dip (min coherence >= 0.95)")
+        raise NumericalError("no visible dip (min coherence >= 0.95)")
     rho = data.rho if rho is None else rho
     omega_l = abs(gamma_n) * data.b0
     taus = data.taus
@@ -230,7 +220,7 @@ def fit_depth(
     unit = ProtonBathModel(rho=rho, d_nv=1e-9, gamma_n=gamma_n)
     q_per_d3 = (2 / np.pi**2) * GAMMA_E**2 * b_rms_squared(unit) * (1e-9) ** 3
     if q_best <= 0:
-        raise FitDegenerateError("dip amplitude fitted to zero")
+        raise NumericalError("dip amplitude fitted to zero")
     d_best = float((q_per_d3 / q_best) ** (1 / 3))
 
     def model_log(tau, d_nv, log_lam):
@@ -248,7 +238,12 @@ def fit_depth(
             maxfev=400,
         )
     except RuntimeError as exc:
-        raise FitDegenerateError("depth fit polish did not converge") from exc
+        raise NumericalError("depth fit polish did not converge") from exc
+    if not np.all(np.isfinite(pcov)):
+        raise NumericalError(
+            f"depth fit covariance is not finite; {len(taus)} scan point(s) "
+            "cannot constrain the depth and the linewidth"
+        )
     lam = float(np.exp(popt[1]))
     return DepthFit(
         d_nv=float(popt[0]),

@@ -15,7 +15,6 @@ exact, not the first-order GRAPE approximation (Khaneja et al., JMR 172,
 JMR 212, 412 (2011).
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .constants import A_PARALLEL_HZ
+from .tables import write_table
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,25 +96,13 @@ class Waveform:
         return np.hypot(self.real_rabi_hz, self.imag_rabi_hz)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# piece_duration_s={float(self.piece_duration)!r}\n")
-        buf.write("piece_index,real_rabi_hz,imag_rabi_hz\n")
-        for k, (re, im) in enumerate(zip(self.real_rabi_hz, self.imag_rabi_hz)):
-            buf.write(f"{k},{float(re)!r},{float(im)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Waveform":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines[0].startswith("# piece_duration_s="):
-            raise ValueError("missing piece_duration header comment")
-        dt = float(lines[0].split("=", 1)[1])
-        re, im = [], []
-        for ln in lines[2:]:
-            _, r, i = ln.split(",")
-            re.append(float(r))
-            im.append(float(i))
-        return cls(np.array(re), np.array(im), dt)
+        """A ``# piece_duration_s=`` comment line, then the piece table."""
+        return f"# piece_duration_s={float(self.piece_duration)!r}\n" + write_table(
+            "piece_index,real_rabi_hz,imag_rabi_hz",
+            range(self.n_pieces),
+            self.real_rabi_hz,
+            self.imag_rabi_hz,
+        )
 
 
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])

@@ -15,7 +15,6 @@ the measured grid are extrapolated with a power-law tail fitted to the top
 decade, since Lorentzian-like tails dominate the corrections there.
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -24,17 +23,11 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .constants import GAMMA_E, HBAR, MU_0
+from .errors import NumericalError
+from .tables import write_table
 
 ITERATION_RTOL = 1e-3
 MAX_ITERATIONS = 10
-
-
-class DomainError(ValueError):
-    """Input outside the mathematical domain of an operation."""
-
-
-class FitError(RuntimeError):
-    """Nonlinear fit failed to converge."""
 
 
 @dataclass
@@ -88,20 +81,7 @@ class NoiseSpectrum:
         return out[0] if scalar else out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("omega_rad_s,s_t2_per_hz\n")
-        for w, s in zip(self.omega, self.s):
-            buf.write(f"{float(w)!r},{float(s)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "NoiseSpectrum":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "omega_rad_s,s_t2_per_hz":
-            raise ValueError("missing omega_rad_s,s_t2_per_hz header")
-        rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
-        w, s = (np.array(col) for col in zip(*rows))
-        return cls(w, s)
+        return write_table("omega_rad_s,s_t2_per_hz", self.omega, self.s)
 
 
 def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
@@ -110,9 +90,9 @@ def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
     ``seq`` is a DDSequence (or anything with omega0 / total_time).
     """
     if coherence <= 0:
-        raise DomainError(f"coherence must be > 0, got {coherence}")
+        raise ValueError(f"coherence must be > 0, got {coherence}")
     if coherence > 1:
-        raise DomainError(f"coherence must be <= 1, got {coherence}")
+        raise ValueError(f"coherence must be <= 1, got {coherence}")
     s0 = -2.0 * math.log(coherence) / (GAMMA_E**2 * seq.total_time)
     return float(seq.omega0), float(s0)
 
@@ -197,7 +177,7 @@ def deduct_t1(curve, t1: float):
     from .sequences import CoherenceCurve
 
     if t1 <= 0:
-        raise DomainError("t1 must be > 0")
+        raise ValueError("t1 must be > 0")
     env = np.exp(-curve.times / t1)
     c = np.clip(curve.coherence / env, 0.0, 1.05)
     sigma = curve.sigma / env
@@ -239,7 +219,7 @@ def fit_lorentzian(spec: NoiseSpectrum, centered: bool = True) -> LorentzianFit:
     past the grid by 100x is flagged degenerate (flat input).
     """
     if len(spec.omega) < 4:
-        raise FitError("need at least 4 grid points")
+        raise NumericalError("need at least 4 grid points")
     w_scale = spec.omega[-1]
     s_scale = max(spec.s.max(), 1e-300)
     w = spec.omega / w_scale
@@ -257,7 +237,7 @@ def fit_lorentzian(spec: NoiseSpectrum, centered: bool = True) -> LorentzianFit:
     try:
         popt, pcov = curve_fit(model, w, s, p0=p0, bounds=bounds, maxfev=20000)
     except (RuntimeError, ValueError) as exc:
-        raise FitError("Lorentzian fit did not converge") from exc
+        raise NumericalError("Lorentzian fit did not converge") from exc
     a, g = popt[0], popt[1]
     c = popt[2] if not centered else 0.0
     return LorentzianFit(
@@ -272,7 +252,7 @@ def fit_lorentzian(spec: NoiseSpectrum, centered: bool = True) -> LorentzianFit:
 def erl_noise_line(l_eff: float) -> float:
     """Noise level implied by the energy resolution limit: 2 mu0 hbar / (e l^3)."""
     if l_eff <= 0:
-        raise DomainError("l_eff must be > 0")
+        raise ValueError("l_eff must be > 0")
     return 2.0 * MU_0 * HBAR / (math.e * l_eff**3)
 
 
@@ -280,5 +260,5 @@ def db_below_erl(s_measured: float, l_eff: float) -> float:
     """Power decibels of the measured density below the ERL noise line."""
     line = erl_noise_line(l_eff)
     if s_measured <= 0:
-        raise DomainError("measured density must be > 0")
+        raise ValueError("measured density must be > 0")
     return 10.0 * math.log10(line / s_measured)

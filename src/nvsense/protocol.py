@@ -8,22 +8,18 @@ batch, so results are bit-identical regardless of how batches are
 distributed over workers.
 """
 
-import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtr, pdtrc
 
 from .sensitivity import SensitivityBudget
 from .sequences import DDSequence
+from .tables import write_table
 
 BATCH_SIZE = 4096
-
-
-class ValidationError(ValueError):
-    """Configuration cross-references are inconsistent."""
 
 
 def _rng(seed: int, batch: int) -> np.random.Generator:
@@ -187,8 +183,10 @@ class ReadoutChainModel:
             )
         lam_hi = k * one + m * (mix + (zero - mix) * g)
         lam_lo = k * zero + m * (mix + (one - mix) * g)
-        p_correct_1 = float(np.sum(w * poisson.sf(thr, lam_hi)))
-        p_correct_0 = float(np.sum(w * poisson.cdf(thr, lam_lo)))
+        # Poisson P(X > thr) and P(X <= thr); counts are integers
+        k_thr = math.floor(thr)
+        p_correct_1 = float(np.sum(w * pdtrc(k_thr, lam_hi)))
+        p_correct_0 = float(np.sum(w * pdtr(k_thr, lam_lo)))
         return 0.5 * (p_correct_1 + p_correct_0)
 
 
@@ -256,12 +254,12 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if not np.isclose(self.sequence.total_time, self.budget.t_c):
-            raise ValidationError(
+            raise ValueError(
                 "sequence total_time and budget t_c disagree: "
                 f"{self.sequence.total_time} vs {self.budget.t_c}"
             )
         if self.b_v <= 0:
-            raise ValidationError("b_v must be > 0")
+            raise ValueError("b_v must be > 0")
 
     @property
     def shot_duration(self) -> float:
@@ -297,13 +295,13 @@ class ExperimentRun:
         return self.signs * (self.photons - np.mean(self.photons))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("shot,sign,init_cycles,photons\n")
-        for i, (s, c, p) in enumerate(
-            zip(self.signs, self.init_cycles, self.photons)
-        ):
-            buf.write(f"{i},{int(s)},{int(c)},{int(p)}\n")
-        return buf.getvalue()
+        return write_table(
+            "shot,sign,init_cycles,photons",
+            range(len(self.photons)),
+            self.signs.astype(np.int8),  # +-1
+            self.init_cycles,
+            self.photons,
+        )
 
     def summary_json(self) -> str:
         return json.dumps(

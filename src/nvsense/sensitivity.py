@@ -15,7 +15,6 @@ quoted in units of hbar.
 """
 
 import importlib.resources
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -24,14 +23,8 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .constants import GAMMA_E, HBAR, MU_0
-
-
-class AmbiguityError(ValueError):
-    """The data cover less than one full fringe period."""
-
-
-class DegenerateFitError(RuntimeError):
-    """The fit carries no information about the requested parameter."""
+from .errors import NumericalError
+from .tables import read_table
 
 
 @dataclass(frozen=True)
@@ -175,8 +168,9 @@ class FringeFit:
 def fit_fringe(volts, counts, t_interrogation, gamma_e=GAMMA_E) -> FringeFit:
     """Least-squares fringe fit returning the field-per-volt coefficient.
 
-    Raises AmbiguityError when the voltage sweep covers less than one full
-    fringe period and DegenerateFitError when the fringe has no contrast.
+    Raises NumericalError when the voltage sweep covers less than one full
+    fringe period (the coefficient is ambiguous), when the fringe has no
+    contrast, or when the fit does not converge.
     """
     volts = np.asarray(volts, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -191,7 +185,7 @@ def fit_fringe(volts, counts, t_interrogation, gamma_e=GAMMA_E) -> FringeFit:
     c0 = float(np.mean(counts))
     a0 = float(np.sqrt(2.0) * np.std(counts))
     if a0 == 0.0:
-        raise DegenerateFitError("fringe has zero contrast")
+        raise NumericalError("fringe has zero contrast")
     # frequency guess from the dominant Fourier component on a uniform grid
     grid = np.linspace(volts.min(), volts.max(), 4 * len(volts))
     resampled = np.interp(grid, volts[np.argsort(volts)], counts[np.argsort(volts)])
@@ -215,12 +209,12 @@ def fit_fringe(volts, counts, t_interrogation, gamma_e=GAMMA_E) -> FringeFit:
             maxfev=20000,
         )
     except (RuntimeError, ValueError) as exc:
-        raise DegenerateFitError("fringe fit did not converge") from exc
+        raise NumericalError("fringe fit did not converge") from exc
     a, k, phi, c = popt
     if a < 1e-12 * max(abs(c), 1.0):
-        raise DegenerateFitError("fitted fringe contrast is zero")
+        raise NumericalError("fitted fringe contrast is zero")
     if k * span < 2 * np.pi:
-        raise AmbiguityError(
+        raise NumericalError(
             "voltage sweep covers less than one fringe period; "
             "the field-per-volt coefficient is ambiguous"
         )
@@ -261,7 +255,7 @@ def sensitivity_from_timeseries(
     ns = np.unique(np.geomspace(100, len(x), n_windows).astype(int))
     # the windows are nested prefixes, so each has a noise scale if the first does
     if np.std(x[: ns[0]]) == 0:
-        raise DegenerateFitError("zero-variance outcomes carry no noise scale")
+        raise NumericalError("zero-variance outcomes carry no noise scale")
     times = ns * shot_duration
     eta = np.empty(len(ns))
     for i, n in enumerate(ns):
@@ -297,31 +291,19 @@ class MagnetometerRecord:
     ref: str
     e_r: float  # stored value, hbar
 
+    def __post_init__(self):
+        for name in ("l_eff", "eta", "e_r"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{self.kind}: {name} must be finite and > 0, got {v}")
+
 
 _MAGNETOMETER_HEADER = "kind,l_eff_m,eta_t_per_sqrt_hz,ref,e_r_hbar"
 
 
 def magnetometer_records_from_csv(text: str) -> list[MagnetometerRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _MAGNETOMETER_HEADER:
-        raise ValueError(f"missing header {_MAGNETOMETER_HEADER!r}")
-    if len(lines) == 1:
-        raise ValueError("magnetometer table has no rows")
-    out = []
-    for ln in lines[1:]:
-        kind, l_eff, eta, ref, e_r = (f.strip() for f in ln.split(","))
-        out.append(
-            MagnetometerRecord(kind, float(l_eff), float(eta), ref, float(e_r))
-        )
-    return out
-
-
-def magnetometer_records_to_csv(records) -> str:
-    buf = io.StringIO()
-    buf.write(_MAGNETOMETER_HEADER + "\n")
-    for r in records:
-        buf.write(f"{r.kind},{r.l_eff!r},{r.eta!r},{r.ref},{r.e_r!r}\n")
-    return buf.getvalue()
+    columns = read_table(text, _MAGNETOMETER_HEADER, text_columns=("kind", "ref"))
+    return [MagnetometerRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def load_reference_magnetometers() -> list[MagnetometerRecord]:

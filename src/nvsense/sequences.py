@@ -15,7 +15,6 @@ integral above: S(omega) in T^2/Hz on a one-sided grid (omega >= 0),
 numerically equal to the two-sided power spectral density of the field.
 """
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -24,6 +23,8 @@ from scipy.integrate import quad
 from scipy.optimize import curve_fit
 
 from .constants import GAMMA_E
+from .errors import NumericalError
+from .tables import read_table, write_table
 
 # Standard phase patterns (degrees) for one base block; CPMG pulses are
 # all along y, and XY8/XY16 use the conventional published orderings.
@@ -31,10 +32,6 @@ _XY8_BLOCK = (0.0, 90.0, 0.0, 90.0, 90.0, 0.0, 90.0, 0.0)
 _XY16_BLOCK = _XY8_BLOCK + tuple(p + 180.0 for p in _XY8_BLOCK)
 
 _BASE_BLOCK = {"CPMG": 1, "XY8": 8, "XY16": 16, "RAMSEY": 0}
-
-
-class FitError(RuntimeError):
-    """Nonlinear fit failed to converge or is degenerate."""
 
 
 @dataclass(frozen=True)
@@ -199,10 +196,13 @@ def coherence_from_spectrum(
             total += val
         dphi2 = gamma**2 / np.pi * total
         if not np.isfinite(dphi2):
-            raise ArithmeticError("filter-spectrum integral diverged")
+            raise NumericalError("filter-spectrum integral diverged")
     else:
         raise ValueError(f"unknown method {method!r}")
     return float(np.exp(-dphi2 / 2.0))
+
+
+_CURVE_HEADER = "time_s,coherence,sigma"
 
 
 @dataclass
@@ -227,24 +227,14 @@ class CoherenceCurve:
             raise ValueError("coherence outside [-0.05, 1.05]")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("time_s,coherence,sigma\n")
-        for t, c, s in zip(self.times, self.coherence, self.sigma):
-            buf.write(f"{float(t)!r},{float(c)!r},{float(s)!r}\n")
-        return buf.getvalue()
+        return write_table(_CURVE_HEADER, self.times, self.coherence, self.sigma)
 
     def sidecar(self) -> str:
         return json.dumps({"family": self.family, "N": self.n_pulses}, sort_keys=True)
 
     @classmethod
     def from_csv(cls, text: str, sidecar: str | None = None) -> "CoherenceCurve":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "time_s,coherence,sigma":
-            raise ValueError("missing time_s,coherence,sigma header row")
-        rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
-        if not rows:
-            raise ValueError("coherence curve has no data rows")
-        t, c, s = (np.array(col) for col in zip(*rows))
+        t, c, s = read_table(text, _CURVE_HEADER)
         family, n = "XY16", 0
         if sidecar:
             meta = json.loads(sidecar)
@@ -255,11 +245,11 @@ class CoherenceCurve:
 def fit_stretched_exponential(curve: CoherenceCurve):
     """Fit C(t) = A exp(-(t/T2)^p).
 
-    Returns (t2, p, amplitude, covariance). Raises FitError with the
+    Returns (t2, p, amplitude, covariance). Raises NumericalError with the
     residual report when the fit does not converge.
     """
     if len(curve.times) < 4:
-        raise FitError("need at least 4 points for a stretched-exponential fit")
+        raise NumericalError("need at least 4 points for a stretched-exponential fit")
 
     def model(t, t2, p, a):
         return a * np.exp(-((t / t2) ** p))
@@ -282,7 +272,7 @@ def fit_stretched_exponential(curve: CoherenceCurve):
         )
     except (RuntimeError, ValueError) as exc:
         resid = float(np.sum((curve.coherence - np.exp(-t / t2_guess)) ** 2))
-        raise FitError(
+        raise NumericalError(
             f"stretched-exponential fit failed (residual at guess {resid:.3g})"
         ) from exc
     t2, p, a = popt

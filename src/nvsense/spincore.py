@@ -23,16 +23,9 @@ from .constants import (
     TWO_PI,
     hz_to_rad,
 )
+from .errors import NumericalError
 
 UNITARITY_TOL = 1e-10
-
-
-class ParameterError(ValueError):
-    """A physical parameter is non-finite or out of range."""
-
-
-class ConfigurationError(ValueError):
-    """A drive or subspace configuration is inconsistent with the system."""
 
 
 def spin_operators(s: float):
@@ -42,7 +35,7 @@ def spin_operators(s: float):
     """
     n = round(2 * s + 1)
     if abs(n - (2 * s + 1)) > 1e-12 or n < 1:
-        raise ParameterError(f"invalid spin quantum number {s}")
+        raise ValueError(f"invalid spin quantum number {s}")
     m = s - np.arange(n)
     sz = np.diag(m).astype(complex)
     # ladder operator S+ |s,m> = sqrt(s(s+1) - m(m+1)) |s,m+1>
@@ -75,9 +68,9 @@ class SpinSystem:
     def __post_init__(self):
         vals = [self.gamma_e, self.gamma_n_nv, self.d_zfs, self.a_parallel, self.b0]
         if not all(np.isfinite(v) for v in vals):
-            raise ParameterError("all spin-system parameters must be finite")
+            raise ValueError("all spin-system parameters must be finite")
         if self.b0 < 0:
-            raise ParameterError("b0 must be >= 0")
+            raise ValueError("b0 must be >= 0")
 
     @property
     def dim_electron(self) -> int:
@@ -119,13 +112,13 @@ class DriveTerm:
 
     def __post_init__(self):
         if self.channel not in ("MW", "RF"):
-            raise ConfigurationError(f"unknown drive channel {self.channel!r}")
+            raise ValueError(f"unknown drive channel {self.channel!r}")
         if self.piece_duration <= 0:
-            raise ConfigurationError("piece_duration must be > 0")
+            raise ValueError("piece_duration must be > 0")
         if len(self.rabi_amplitude_hz) != len(self.phase_rad):
-            raise ConfigurationError("amplitude and phase lists must match")
+            raise ValueError("amplitude and phase lists must match")
         if not all(np.isreal(a) for a in self.rabi_amplitude_hz):
-            raise ConfigurationError("Rabi amplitudes must be real")
+            raise ValueError("Rabi amplitudes must be real")
 
     @property
     def n_pieces(self) -> int:
@@ -184,13 +177,13 @@ def build_rotating_frame_hamiltonian(
     gap = _level_gap(h0, (i, j))
 
     if not drives:
-        raise ConfigurationError("at least one drive is required")
+        raise ValueError("at least one drive is required")
     durations = {d.piece_duration for d in drives}
     if len(durations) != 1:
-        raise ConfigurationError("all drives must share the piece duration")
+        raise ValueError("all drives must share the piece duration")
     n_pieces = {d.n_pieces for d in drives}
     if len(n_pieces) != 1:
-        raise ConfigurationError("all drives must share the piece count")
+        raise ValueError("all drives must share the piece count")
     dt = durations.pop()
     n = n_pieces.pop()
 
@@ -202,7 +195,7 @@ def build_rotating_frame_hamiltonian(
     for drive in drives:
         w_carrier = hz_to_rad(drive.carrier_hz)
         if abs(w_carrier - gap) > detuning_window * w_carrier:
-            raise ConfigurationError(
+            raise ValueError(
                 f"{drive.channel} carrier {drive.carrier_hz:.4g} Hz is not "
                 f"within {detuning_window:.1%} of the subspace gap "
                 f"{gap / TWO_PI:.4g} Hz"
@@ -211,7 +204,7 @@ def build_rotating_frame_hamiltonian(
         # matrix element of the coupling operator between the two levels
         m_elem = coupling[i, j]
         if abs(m_elem) < 1e-12:
-            raise ConfigurationError(
+            raise ValueError(
                 f"{drive.channel} drive does not couple levels {subspace}"
             )
         delta = gap - w_carrier  # rad/s, positive when carrier below gap
@@ -248,7 +241,7 @@ def propagate(h_pieces, piece_duration, initial=None):
         u = expm(-1j * h * dt) @ u
     err = np.linalg.norm(u.conj().T @ u - np.eye(d))
     if err > UNITARITY_TOL:
-        raise ArithmeticError(f"propagation lost unitarity: {err:.2e}")
+        raise NumericalError(f"propagation lost unitarity: {err:.2e}")
     if initial is None:
         return u
     initial = np.asarray(initial, dtype=complex)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,13 @@ class TestBasics:
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate", check=False)
         assert proc.returncode == 2
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, nvsense.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestGen:
@@ -147,6 +155,19 @@ class TestDepthCommand:
         )
         assert proc.returncode == 3
 
+    def test_one_point_scan_is_numerical_error(self, depth_bundle, tmp_path):
+        # the deepest point of the dip alone cannot fix depth and linewidth
+        header, *rows = (depth_bundle / "depth_dataset.csv").read_text().splitlines()
+        deepest = min(rows, key=lambda row: float(row.split(",")[1]))
+        scan = tmp_path / "one.csv"
+        scan.write_text(f"{header}\n{deepest}\n")
+        proc = run_cli(
+            "--out", tmp_path, "depth", scan, depth_bundle / "depth_dataset.json",
+            check=False,
+        )
+        assert proc.returncode == 4
+        assert "covariance is not finite" in proc.stderr
+
     def test_missing_file_is_usage_error(self, tmp_path):
         proc = run_cli(
             "--out", tmp_path, "depth", "/nonexistent.csv", "/nonexistent.json",
@@ -184,6 +205,15 @@ class TestErlCommand:
         scatter = (tmp_path / "erl_scatter.csv").read_text().splitlines()
         assert scatter[0] == "l_eff_m,e_r_hbar,kind"
         assert len(scatter) == 25
+
+    def test_zero_stored_e_r_is_data_error(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "kind,l_eff_m,eta_t_per_sqrt_hz,ref,e_r_hbar\nNV,4.0e-09,5.3e-08,1,0\n"
+        )
+        proc = run_cli("--out", tmp_path, "erl", table, check=False)
+        assert proc.returncode == 3
+        assert "e_r must be finite and > 0" in proc.stderr
 
     def test_rerun_reproduces(self, tmp_path):
         run_cli("--out", tmp_path, "erl")
@@ -257,3 +287,38 @@ class TestGrapeCommand:
         assert len(wf) == 16
         trace = (tmp_path / "fidelity_trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,fidelity"
+
+
+def _with_nan_on_line_3(path: Path):
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[1] = "nan"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["depth", "noise", "erl"])
+def test_nan_field_is_data_error(command, depth_bundle, noise_bundle, tmp_path):
+    """A NaN in the second column of line 3 of an input table exits 3 and
+    names the line."""
+    if command == "depth":
+        scan = tmp_path / "scan.csv"
+        shutil.copy(depth_bundle / "depth_dataset.csv", scan)
+        _with_nan_on_line_3(scan)
+        args = [scan, depth_bundle / "depth_dataset.json"]
+    elif command == "noise":
+        curves = tmp_path / "curves"
+        shutil.copytree(noise_bundle, curves)
+        _with_nan_on_line_3(curves / "coherence_n16.csv")
+        args = [curves]
+    else:
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "kind,l_eff_m,eta_t_per_sqrt_hz,ref,e_r_hbar\n"
+            "NV,4.0e-09,5.3e-08,1,0.68\n"
+            "NV,nan,5.3e-08,1,0.68\n"
+        )
+        args = [table]
+    proc = run_cli("--out", tmp_path / "out", command, *args, check=False)
+    assert proc.returncode == 3
+    assert "line 3: " in proc.stderr and "is not a finite number: 'nan'" in proc.stderr

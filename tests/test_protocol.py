@@ -9,7 +9,6 @@ from nvsense.protocol import (
     ExperimentRun,
     ProtocolConfig,
     ReadoutChainModel,
-    ValidationError,
     nv3_config,
     run_experiment,
     simulate_charge_init,
@@ -131,7 +130,7 @@ class TestProtocolConfig:
         budget = SensitivityBudget(
             t_c=1.0e-3, c=0.4, f_i=0.92, f_r=0.84, t_ir=1.5e-3
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError, match="total_time and budget t_c disagree"):
             ProtocolConfig(
                 sequence=DDSequence("XY16", 512, 1.8e-3), budget=budget
             )

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsense.constants import GAMMA_E
+from nvsense.errors import NumericalError
 from nvsense.sensitivity import (
-    AmbiguityError,
-    DegenerateFitError,
     MagnetometerRecord,
     SensitivityBudget,
     db_below_quantum_limit,
@@ -18,10 +17,10 @@ from nvsense.sensitivity import (
     fit_fringe,
     load_reference_magnetometers,
     magnetometer_records_from_csv,
-    magnetometer_records_to_csv,
     optimize_budget,
     sensitivity_from_timeseries,
 )
+from nvsense.tables import write_table
 
 NV3_BUDGET = SensitivityBudget(
     t_c=1.8e-3,
@@ -175,12 +174,12 @@ class TestFitFringe:
 
     def test_zero_contrast_degenerate(self):
         v = np.linspace(0, 0.5, 40)
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(NumericalError, match="zero contrast"):
             fit_fringe(v, np.full_like(v, 100.0), FringeData.T)
 
     def test_under_one_period_ambiguous(self):
         v, counts = FringeData.make(noise=False, span=0.12)
-        with pytest.raises(AmbiguityError):
+        with pytest.raises(NumericalError, match="less than one fringe period"):
             fit_fringe(v, counts, FringeData.T)
 
     def test_phase_shift_leaves_b_v(self):
@@ -225,14 +224,14 @@ class TestSensitivityFromTimeseries:
         assert asym == pytest.approx(expected, rel=0.05)
 
     def test_zero_variance_degenerate(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(NumericalError, match="zero-variance"):
             sensitivity_from_timeseries(np.ones(500), 1e-9, 1e-3)
 
     def test_zero_variance_prefix_degenerate(self):
         # the first window is constant although the whole series is not;
         # it used to report eta = 0, a perfect sensitivity
         x = np.concatenate([np.ones(150), 1.0 + self._shots(0.0, 0.5, 5000)])
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(NumericalError, match="zero-variance"):
             sensitivity_from_timeseries(x, 1e-9, 1e-3)
 
     def test_too_few_shots(self):
@@ -295,9 +294,21 @@ class TestErlTableCheck:
 class TestMagnetometerCsv:
     def test_round_trip(self):
         records = load_reference_magnetometers()
-        back = magnetometer_records_from_csv(magnetometer_records_to_csv(records))
+        text = write_table(
+            "kind,l_eff_m,eta_t_per_sqrt_hz,ref,e_r_hbar",
+            *zip(*((r.kind, r.l_eff, r.eta, r.ref, r.e_r) for r in records)),
+        )
+        back = magnetometer_records_from_csv(text)
         assert back == records
 
     def test_missing_header(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: expected the header"):
             magnetometer_records_from_csv("a,b\n1,2\n")
+
+    @pytest.mark.parametrize("field", ["l_eff", "eta", "e_r"])
+    @pytest.mark.parametrize("value", [0.0, -4.0e-9, math.inf, math.nan])
+    def test_record_rejects_nonpositive_or_nonfinite(self, field, value):
+        row = {"kind": "NV", "l_eff": 4.0e-9, "eta": 5.3e-8, "ref": "1", "e_r": 0.68}
+        row[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            MagnetometerRecord(**row)

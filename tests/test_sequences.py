@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nvsense.constants import GAMMA_E, TWO_PI
+from nvsense.errors import NumericalError
 from nvsense.sequences import (
     CoherenceCurve,
     DDSequence,
-    FitError,
     coherence_from_spectrum,
     exact_filter,
     filter_delta_comb,
@@ -192,7 +192,7 @@ class TestStretchedExponential:
 
     def test_too_few_points(self):
         curve = CoherenceCurve([1e-4, 2e-4, 3e-4], [0.9, 0.8, 0.7], [0.01] * 3)
-        with pytest.raises(FitError):
+        with pytest.raises(NumericalError, match="at least 4 points"):
             fit_stretched_exponential(curve)
 
 
@@ -241,7 +241,7 @@ class TestCoherenceCurveIO:
         assert json.loads(curve.sidecar())["N"] == 512
 
     def test_header_mandatory(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: expected the header"):
             CoherenceCurve.from_csv("1e-4,0.9,0.01\n")
 
     def test_validation(self):

@@ -1,0 +1,118 @@
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvsense.protocol import nv3_config, run_experiment
+from nvsense.tables import read_table, write_table
+
+HEADER = "a,b,c"
+
+# fields that are numbers, near-numbers and junk, so that generated rows
+# hit every branch of the parser
+FIELD = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.text(alphabet="0123456789.eE+-_naif x\t", max_size=8),
+    st.text(max_size=4),
+)
+ROW = st.lists(FIELD, max_size=4).map(",".join)
+NUMBER = st.one_of(st.floats().map(repr), st.integers(-(10**20), 10**20).map(str))
+ROW3 = st.tuples(NUMBER, st.text(alphabet="NVSQUID \t", max_size=5), NUMBER).map(
+    ",".join
+)
+TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(ROW, max_size=6).map("\n".join),
+    st.lists(ROW, max_size=6).map(lambda rows: "\n".join([HEADER] + rows)),
+    st.lists(ROW3, max_size=6).map(lambda rows: "\n".join([HEADER] + rows)),
+)
+
+
+@given(TEXT)
+@settings(max_examples=400, deadline=None)
+def test_read_table_parses_or_raises_value_error(text):
+    try:
+        columns = read_table(text, HEADER, text_columns=("b",))
+    except ValueError:
+        return
+    assert len(columns) == 3
+    n = len(columns[0])
+    assert n >= 1
+    assert all(len(col) == n for col in columns)
+    for col in (columns[0], columns[2]):
+        assert col.dtype == float
+        assert np.all(np.isfinite(col))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(2**53), 2**53),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_write_then_read_is_lossless(rows):
+    floats, ints = (np.array(col) for col in zip(*rows))
+    x, n = read_table(write_table("x,n", floats, ints.astype(np.int64)), "x,n")
+    np.testing.assert_array_equal(x, floats)
+    np.testing.assert_array_equal(np.signbit(x), np.signbit(floats))
+    np.testing.assert_array_equal(n, ints)  # exact in float64 up to 2**53
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty table: expected the header"),
+        ("\n  \n", "empty table: expected the header"),
+        ("x,y,z\n1,2,3\n", "line 1: expected the header"),
+        ("\na,b,c\n\n", "line 2: the header has no data rows"),
+        ("a,b,c\n1,NV,3\n1,2\n", "line 3: 2 fields, the header has 3"),
+        ("a,b,c\n1,NV,3\n1,NV,3,4\n", "line 3: 4 fields, the header has 3"),
+        ("a,b,c\n1,NV,inf\n", "line 2: c is not a finite number: 'inf'"),
+        ("a,b,c\n1,NV,3\n\nnan,NV,3\n", "line 4: a is not a finite number: 'nan'"),
+        ("a,b,c\n1,NV,1e400\n", "line 2: c is not a finite number: '1e400'"),
+        ("a,b,c\n1,NV,x\n", "line 2: c is not a finite number: 'x'"),
+    ],
+)
+def test_read_table_names_the_faulty_line(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_table(text, HEADER, text_columns=("b",))
+
+
+def test_read_table_strips_fields_and_keeps_text():
+    a, b, c = read_table(" a,b,c \n\n 1.5 , NV ,-0.0\n2,SQUID,3\n", HEADER, ("b",))
+    np.testing.assert_array_equal(a, [1.5, 2.0])
+    assert b.tolist() == ["NV", "SQUID"]
+    assert np.signbit(c[0]) and c[1] == 3.0
+
+
+def test_write_table_matches_per_row_formatting():
+    # the per-row f-strings every table was written with before the codec
+    floats = np.array([-0.0, 5e-324, 1e300, 0.1, 1 / 3, -2.5e-7, 2.0**60, 1.0])
+    ints = np.array([0, -1, 7, 2**40, -(2**62), 3, 12, 5], dtype=np.int64)
+    kinds = ["NV", "SQUID", "BEC", "a b", "x", "y", "z", "w"]
+    expected = "f,i,s\n" + "".join(
+        f"{float(f)!r},{int(i)},{s}\n" for f, i, s in zip(floats, ints, kinds)
+    )
+    assert write_table("f,i,s", floats, ints, kinds) == expected
+    # a list of Python floats, as the GRAPE trace is
+    trace = [0.5, 0.25, 1e-17]
+    assert write_table("i,f", np.arange(3), trace) == "i,f\n" + "".join(
+        f"{i},{float(f)!r}\n" for i, f in enumerate(trace)
+    )
+
+
+def test_shot_table_matches_per_row_formatting():
+    run = run_experiment(nv3_config(), 1e-9, 5000, seed=1)
+    expected = "shot,sign,init_cycles,photons\n" + "".join(
+        f"{i},{int(s)},{int(c)},{int(p)}\n"
+        for i, (s, c, p) in enumerate(zip(run.signs, run.init_cycles, run.photons))
+    )
+    assert run.to_csv() == expected
