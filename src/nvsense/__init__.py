@@ -1,7 +1,6 @@
 """Modeling, simulation, and analysis toolkit for single-spin magnetometry.
 
 Modules:
-    spincore     spin-1 Hamiltonian, propagators, Ramsey/echo primitives
     grape        piecewise-constant pulse shaping with ensemble robustness
     sequences    dynamical-decoupling timing, filter functions, coherence
     noisespec    coherence-decay inversion into noise spectra
@@ -9,6 +8,10 @@ Modules:
     sensitivity  sensitivity budgets and the energy-resolution benchmark
     protocol     Monte Carlo simulation of the full measurement chain
     cli          command-line interface
+
+The reference physics the tests check these against (matrix-exponential
+propagation, the exact filter function and quadrature coherence) lives in
+``tests/oracles.py``, outside the package.
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Physical constants and unit conversions used throughout the toolkit.
+"""Physical constants used throughout the toolkit.
 
 All angular frequencies are in rad/s internally; public constructors accept
 Hz and convert at the boundary to avoid factor-of-2pi mistakes.
@@ -13,30 +13,13 @@ TWO_PI = 2.0 * np.pi
 GAMMA_E_HZ_PER_T = 28.024e9
 GAMMA_E = TWO_PI * GAMMA_E_HZ_PER_T  # rad s^-1 T^-1
 
-# 15N nuclear gyromagnetic ratio, gamma / 2pi = -4.3156 MHz/T.
-GAMMA_N15_HZ_PER_T = -4.3156e6
-GAMMA_N15 = TWO_PI * GAMMA_N15_HZ_PER_T  # rad s^-1 T^-1
-
 # 1H gyromagnetic ratio, gamma / 2pi = 42.577 MHz/T.
 GAMMA_H_HZ_PER_T = 42.577e6
 GAMMA_H = TWO_PI * GAMMA_H_HZ_PER_T  # rad s^-1 T^-1
 
-# NV ground-state zero-field splitting and 15N hyperfine coupling (Hz).
-D_ZFS_HZ = 2.870e9
+# NV 15N hyperfine coupling (Hz).
 A_PARALLEL_HZ = 3.03e6
-
-# Static sensing field along the NV axis (T), 7662 G.
-B0_TESLA = 0.7662
 
 HBAR = hbar
 MU_0 = mu_0
 
-
-def hz_to_rad(f_hz):
-    """Convert a frequency in Hz to angular frequency in rad/s."""
-    return TWO_PI * np.asarray(f_hz, dtype=float)
-
-
-def rad_to_hz(w_rad):
-    """Convert an angular frequency in rad/s to Hz."""
-    return np.asarray(w_rad, dtype=float) / TWO_PI

@@ -23,10 +23,11 @@ and one overlap.
 """
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize_scalar
+from scipy.optimize import OptimizeWarning, curve_fit, minimize_scalar
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
 from .errors import NumericalError
@@ -135,6 +136,10 @@ class DepthDataset:
         self.taus = np.asarray(self.taus, dtype=float)
         self.coherence = np.asarray(self.coherence, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
+        if not (len(self.taus) == len(self.coherence) == len(self.sigma)):
+            raise ValueError("taus, coherence, sigma must have equal length")
+        if not all(np.isfinite(a).all() for a in (self.taus, self.coherence, self.sigma)):
+            raise ValueError("taus, coherence, sigma must be finite")
         if np.any(np.diff(self.taus) <= 0):
             raise ValueError("tau grid must be strictly increasing")
 
@@ -227,16 +232,19 @@ def fit_depth(
         q = q_per_d3 / d_nv**3
         return np.exp(-q * _overlap_k(data.n_pulses, tau, omega_l, np.exp(log_lam)))
 
+    # a singular covariance is reported by the check below, not as a warning
     try:
-        popt, pcov = curve_fit(
-            model_log,
-            taus,
-            c_obs,
-            p0=(d_best, np.log(lam_best)),
-            sigma=data.sigma if np.all(data.sigma > 0) else None,
-            bounds=([1e-9, np.log(1e3)], [500e-9, np.log(1e7)]),
-            maxfev=400,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
+            popt, pcov = curve_fit(
+                model_log,
+                taus,
+                c_obs,
+                p0=(d_best, np.log(lam_best)),
+                sigma=data.sigma if np.all(data.sigma > 0) else None,
+                bounds=([1e-9, np.log(1e3)], [500e-9, np.log(1e7)]),
+                maxfev=400,
+            )
     except RuntimeError as exc:
         raise NumericalError("depth fit polish did not converge") from exc
     if not np.all(np.isfinite(pcov)):

@@ -186,34 +186,26 @@ class OptimizeResult:
 
 def optimize(
     problem: GrapeProblem,
-    seed_waveform: Waveform | None = None,
     seed: int = 0,
     target_infidelity: float = 1e-5,
     max_iterations: int = 20000,
     n_restarts: int = 4,
 ) -> OptimizeResult:
-    """Maximize the fidelity by L-BFGS-B from a seed or random starts.
+    """Maximize the fidelity by L-BFGS-B from random starts.
 
-    Deterministic given ``seed``. On non-convergence the best waveform seen
-    is returned with ``converged=False``.
+    Deterministic given ``seed``. Up to ``n_restarts + 1`` starts are tried,
+    stopping at the first that converges. On non-convergence the best
+    waveform seen is returned with ``converged=False``.
     """
     rng = np.random.default_rng(seed)
+    amp = 0.3 * problem.max_rabi_hz
     best = None
-    starts = []
-    if seed_waveform is not None:
-        starts.append(seed_waveform)
-        n_restarts = 0
-    for _ in range(max(1, n_restarts + 1) - len(starts)):
-        amp = 0.3 * problem.max_rabi_hz
-        starts.append(
-            Waveform(
-                rng.uniform(-amp, amp, problem.n_pieces),
-                rng.uniform(-amp, amp, problem.n_pieces),
-                problem.piece_duration,
-            )
+    for _ in range(max(1, n_restarts + 1)):
+        start = Waveform(
+            rng.uniform(-amp, amp, problem.n_pieces),
+            rng.uniform(-amp, amp, problem.n_pieces),
+            problem.piece_duration,
         )
-
-    for start in starts:
         res = _descend(problem, start, target_infidelity, max_iterations)
         if best is None or res.fidelity > best.fidelity:
             best = res

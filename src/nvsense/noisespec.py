@@ -27,7 +27,6 @@ from .errors import NumericalError
 from .tables import write_table
 
 ITERATION_RTOL = 1e-3
-MAX_ITERATIONS = 10
 
 
 @dataclass
@@ -194,12 +193,6 @@ class LorentzianFit:
     covariance: np.ndarray
     degenerate_width: bool = False
 
-    def evaluate(self, w):
-        w = np.asarray(w, dtype=float)
-        return self.s_max * self.width**2 / (
-            self.width**2 + (w - self.center) ** 2
-        )
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -212,11 +205,11 @@ class LorentzianFit:
         )
 
 
-def fit_lorentzian(spec: NoiseSpectrum, centered: bool = True) -> LorentzianFit:
-    """Least-squares Lorentzian fit S = S_max W^2 / (W^2 + (w - w_c)^2).
+def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
+    """Least-squares centered Lorentzian fit S = S_max W^2 / (W^2 + w^2).
 
-    With ``centered`` the center is fixed at zero. A fit whose width runs
-    past the grid by 100x is flagged degenerate (flat input).
+    A fit whose width runs past the grid by 100x is flagged degenerate
+    (flat input).
     """
     if len(spec.omega) < 4:
         raise NumericalError("need at least 4 grid points")
@@ -224,26 +217,21 @@ def fit_lorentzian(spec: NoiseSpectrum, centered: bool = True) -> LorentzianFit:
     s_scale = max(spec.s.max(), 1e-300)
     w = spec.omega / w_scale
     s = spec.s / s_scale
-    wmax_bound = 1e3
 
-    if centered:
-        model = lambda x, a, g: a * g**2 / (g**2 + x**2)
-        p0 = (1.0, 0.5)
-        bounds = ([0, 1e-6], [10, wmax_bound])
-    else:
-        model = lambda x, a, g, c: a * g**2 / (g**2 + (x - c) ** 2)
-        p0 = (1.0, 0.5, float(w[np.argmax(s)]))
-        bounds = ([0, 1e-6, 0], [10, wmax_bound, 2])
+    def model(x, a, g):
+        return a * g**2 / (g**2 + x**2)
+
     try:
-        popt, pcov = curve_fit(model, w, s, p0=p0, bounds=bounds, maxfev=20000)
+        popt, pcov = curve_fit(
+            model, w, s, p0=(1.0, 0.5), bounds=([0, 1e-6], [10, 1e3]), maxfev=20000
+        )
     except (RuntimeError, ValueError) as exc:
         raise NumericalError("Lorentzian fit did not converge") from exc
-    a, g = popt[0], popt[1]
-    c = popt[2] if not centered else 0.0
+    a, g = popt
     return LorentzianFit(
         s_max=float(a * s_scale),
         width=float(g * w_scale),
-        center=float(c * w_scale),
+        center=0.0,
         covariance=pcov,
         degenerate_width=bool(g > 100.0),
     )

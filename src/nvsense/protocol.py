@@ -60,7 +60,6 @@ class ChargeInitResult:
     purity: float  # P(NV- | accepted)
     purity_no_feedback: float
     cycles_histogram: np.ndarray  # counts of cycles used, index 1..max
-    photon_histogram: np.ndarray  # pooled counts per readout window
 
 
 def _charge_init_batch(model: ChargeReadoutModel, rng, m: int):
@@ -70,7 +69,6 @@ def _charge_init_batch(model: ChargeReadoutModel, rng, m: int):
     accepted = np.zeros(m, dtype=bool)
     is_minus = np.zeros(m, dtype=bool)
     cycles = np.full(m, model.max_cycles, dtype=int)
-    photon_pool = []
     for cyc in range(1, model.max_cycles + 1):
         active = ~accepted
         if not np.any(active):
@@ -82,14 +80,13 @@ def _charge_init_batch(model: ChargeReadoutModel, rng, m: int):
             state, model.mean_photons_minus, model.mean_photons_zero
         )
         counts = rng.poisson(lam)
-        photon_pool.append(counts)
         ok = counts >= model.threshold
         idx = np.flatnonzero(active)
         newly = idx[ok]
         accepted[newly] = True
         is_minus[newly] = state[ok]
         cycles[newly] = cyc
-    return accepted, is_minus, cycles, np.concatenate(photon_pool)
+    return accepted, is_minus, cycles
 
 
 def simulate_charge_init(
@@ -100,18 +97,14 @@ def simulate_charge_init(
         raise ValueError("n_trials must be >= 1")
     acc_n = minus_n = 0
     cyc_hist = np.zeros(model.max_cycles + 1, dtype=np.int64)
-    pho_hist = np.zeros(64, dtype=np.int64)
     for batch in range(0, -(-n_trials // BATCH_SIZE)):
         m = min(BATCH_SIZE, n_trials - batch * BATCH_SIZE)
         rng = _rng(seed, batch)
-        accepted, is_minus, cycles, photons = _charge_init_batch(model, rng, m)
+        accepted, is_minus, cycles = _charge_init_batch(model, rng, m)
         acc_n += int(np.count_nonzero(accepted))
         minus_n += int(np.count_nonzero(is_minus & accepted))
         cyc_hist += np.bincount(
             cycles[accepted], minlength=model.max_cycles + 1
-        )
-        pho_hist += np.bincount(
-            np.clip(photons, 0, 63), minlength=64
         )
     purity = minus_n / acc_n if acc_n else float("nan")
     return ChargeInitResult(
@@ -119,7 +112,6 @@ def simulate_charge_init(
         purity=purity,
         purity_no_feedback=model.equilibrium_fraction,
         cycles_histogram=cyc_hist,
-        photon_histogram=pho_hist,
     )
 
 
@@ -132,7 +124,6 @@ class ReadoutChainModel:
     mean_photons_one: float = 0.06
     mean_photons_zero: float = 0.01
     flip_probability: float = 1.6e-4
-    cycle_duration: float = 576e-9  # s
     n_cycles: int = 2500
 
     def __post_init__(self):
@@ -321,7 +312,7 @@ def _experiment_batch(config: ProtocolConfig, signal, rng, m):
     """One vectorized batch of the full protocol; ``signal`` is the applied
     field per shot in tesla (already signed)."""
     charge = config.charge
-    accepted, _, cycles, _ = _charge_init_batch(charge, rng, m)
+    accepted, _, cycles = _charge_init_batch(charge, rng, m)
     # f_i is the overall initialization fidelity and already covers the
     # residual NV0 contamination after feedback; only outright feedback
     # failure zeroes the fringe contrast

@@ -62,18 +62,6 @@ class SensitivityBudget:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SensitivityBudget":
-        d = json.loads(text)
-        return cls(
-            t_c=d["t_c_s"],
-            c=d["c"],
-            f_i=d["f_i"],
-            f_r=d["f_r"],
-            t_ir=d["t_ir_s"],
-            gamma_e=d.get("gamma_e_rad_s_t", GAMMA_E),
-        )
-
 
 def eta_from_budget(b: SensitivityBudget) -> float:
     """Sensitivity in T/sqrt(Hz) from the five budget factors."""
@@ -83,73 +71,6 @@ def eta_from_budget(b: SensitivityBudget) -> float:
         / (b.c * b.f_r * b.f_i)
         * math.sqrt(1.0 + b.t_ir / b.t_c)
     )
-
-
-@dataclass
-class OptimalBudget:
-    t_c: float
-    n_fb: int
-    n_ro: int
-    eta: float
-    budget: SensitivityBudget
-    eta_vs_n_ro: np.ndarray  # eta slice at the optimal (t_c, n_fb)
-
-
-def optimize_budget(
-    t_c_grid,
-    n_fb_grid,
-    n_ro_grid,
-    coherence_of_t_c,
-    f_i_of_n_fb,
-    f_r_of_n_ro,
-    overhead,
-) -> OptimalBudget:
-    """Derivative-free minimization of the sensitivity over the protocol knobs.
-
-    ``coherence_of_t_c``, ``f_i_of_n_fb`` and ``f_r_of_n_ro`` are the
-    trade-off curves C(T_C), F_i(n_feedback), F_r(n_readout);
-    ``overhead(n_fb, n_ro)`` returns the dead time in seconds. The search is
-    an exhaustive grid scan; ties keep the earliest grid point.
-    """
-    t_c_grid = np.asarray(t_c_grid, dtype=float)
-    n_fb_grid = np.asarray(n_fb_grid, dtype=int)
-    n_ro_grid = np.asarray(n_ro_grid, dtype=int)
-    if t_c_grid.size == 0 or n_fb_grid.size == 0 or n_ro_grid.size == 0:
-        raise ValueError("all grids must be nonempty")
-
-    best = None
-    for t_c in t_c_grid:
-        c = float(coherence_of_t_c(t_c))
-        for n_fb in n_fb_grid:
-            f_i = float(f_i_of_n_fb(int(n_fb)))
-            for n_ro in n_ro_grid:
-                f_r = float(f_r_of_n_ro(int(n_ro)))
-                b = SensitivityBudget(
-                    t_c=float(t_c),
-                    c=c,
-                    f_i=f_i,
-                    f_r=f_r,
-                    t_ir=float(overhead(int(n_fb), int(n_ro))),
-                )
-                eta = eta_from_budget(b)
-                if best is None or eta < best[0]:
-                    best = (eta, float(t_c), int(n_fb), int(n_ro), b)
-    eta, t_c, n_fb, n_ro, budget = best
-    slice_eta = np.array(
-        [
-            eta_from_budget(
-                SensitivityBudget(
-                    t_c=t_c,
-                    c=float(coherence_of_t_c(t_c)),
-                    f_i=float(f_i_of_n_fb(n_fb)),
-                    f_r=float(f_r_of_n_ro(int(n))),
-                    t_ir=float(overhead(n_fb, int(n))),
-                )
-            )
-            for n in n_ro_grid
-        ]
-    )
-    return OptimalBudget(t_c, n_fb, n_ro, eta, budget, slice_eta)
 
 
 @dataclass
@@ -234,14 +155,14 @@ def sensitivity_from_timeseries(
     outcomes,
     signal_amplitude: float,
     shot_duration: float,
-    n_windows: int = 50,
 ):
     """Sensitivity versus averaging time from demodulated per-shot outcomes.
 
     ``outcomes`` is the per-shot signal estimate (already demodulated so its
-    mean is proportional to the applied amplitude). For each averaging time
-    t the signal-to-noise ratio is mean / standard error over the first
-    t / shot_duration shots, and eta(t) = amplitude * sqrt(t) / SNR(t).
+    mean is proportional to the applied amplitude). At each of 50
+    log-spaced averaging times t the signal-to-noise ratio is mean /
+    standard error over the first t / shot_duration shots, and
+    eta(t) = amplitude * sqrt(t) / SNR(t).
 
     Returns (times, eta_curve, asymptote); the asymptote averages the final
     half decade.
@@ -252,7 +173,7 @@ def sensitivity_from_timeseries(
     if signal_amplitude <= 0 or shot_duration <= 0:
         raise ValueError("amplitude and shot duration must be > 0")
 
-    ns = np.unique(np.geomspace(100, len(x), n_windows).astype(int))
+    ns = np.unique(np.geomspace(100, len(x), 50).astype(int))
     # the windows are nested prefixes, so each has a noise scale if the first does
     if np.std(x[: ns[0]]) == 0:
         raise NumericalError("zero-variance outcomes carry no noise scale")

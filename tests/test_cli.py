@@ -47,8 +47,9 @@ class TestBasics:
         proc = run_cli("frobnicate", check=False)
         assert proc.returncode == 2
 
-    def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, nvsense.cli; print('scipy.stats' in sys.modules)"
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
+    def test_import_leaves_module_out(self, module):
+        code = f"import sys, nvsense.cli; print({module!r} in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
@@ -166,7 +167,9 @@ class TestDepthCommand:
             check=False,
         )
         assert proc.returncode == 4
-        assert "covariance is not finite" in proc.stderr
+        # one error line and nothing else: no library warning leaks to stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "covariance is not finite" in line
 
     def test_missing_file_is_usage_error(self, tmp_path):
         proc = run_cli(

@@ -16,10 +16,11 @@ from nvsense.depth import (
     proton_signal_coherence,
 )
 from nvsense.errors import NumericalError
-from nvsense.sequences import DDSequence, exact_filter
+from nvsense.sequences import DDSequence
 
 from nvsense.synth import DEPTH_B0 as B0_MEAS
 from nvsense.synth import DEPTH_SUITE, TAU_LARMOR, make_depth_dataset as make_dataset
+from oracles import exact_filter
 
 OMEGA_L = GAMMA_H * B0_MEAS
 SUITE_TAUS = np.linspace(0.8 * TAU_LARMOR, 1.2 * TAU_LARMOR, 21)
@@ -188,3 +189,14 @@ class TestDatasetIO:
     def test_missing_header(self):
         with pytest.raises(ValueError, match="line 1: expected the header"):
             DepthDataset.from_csv("1e-7,0.5,0.01\n", json.dumps({"N": 8}))
+
+    def test_validation(self):
+        good = [[1e-7, 2e-7], [0.9, 0.5], [0.01, 0.01]]
+        with pytest.raises(ValueError, match="equal length"):
+            DepthDataset(good[0], good[1][:1], good[2], 8, B0_MEAS)
+        for bad in (np.nan, np.inf):
+            for column in range(3):
+                arrays = [list(a) for a in good]
+                arrays[column][0] = bad
+                with pytest.raises(ValueError, match="must be finite"):
+                    DepthDataset(*arrays, 8, B0_MEAS)

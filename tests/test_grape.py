@@ -11,8 +11,8 @@ from nvsense.grape import (
     optimize,
     rotation_target,
 )
-from nvsense.spincore import propagate
 from nvsense.tables import read_table
+from oracles import propagate
 
 DT = 25e-9
 
@@ -44,9 +44,9 @@ def test_fidelity_orthogonal_case():
 
 
 def test_fidelity_matches_propagate_oracle():
-    # hand-built 2-piece composite checked against spin-core propagation, for
-    # a resonant singleton, the default detuning ensemble, and an ensemble
-    # with a mis-scaled amplitude
+    # hand-built 2-piece composite checked against the expm propagation
+    # oracle, for a resonant singleton, the default detuning ensemble, and an
+    # ensemble with a mis-scaled amplitude
     wf = Waveform(np.array([3e6, -1e6]), np.array([2e6, 4e6]), DT)
     default = GrapeProblem(rotation_target(np.pi / 2), 2, DT, 10e6).ensemble
     ensembles = (
