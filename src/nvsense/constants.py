@@ -2,10 +2,13 @@
 
 All angular frequencies are in rad/s internally; public constructors accept
 Hz and convert at the boundary to avoid factor-of-2pi mistakes.
+
+HBAR and MU_0 are the CODATA 2022 values, written out as the literals that
+scipy >= 1.15 carries in ``scipy.constants`` (tests check them bit for bit),
+so that importing the toolkit does not load scipy.
 """
 
 import numpy as np
-from scipy.constants import hbar, mu_0
 
 TWO_PI = 2.0 * np.pi
 
@@ -20,6 +23,5 @@ GAMMA_H = TWO_PI * GAMMA_H_HZ_PER_T  # rad s^-1 T^-1
 # NV 15N hyperfine coupling (Hz).
 A_PARALLEL_HZ = 3.03e6
 
-HBAR = hbar
-MU_0 = mu_0
-
+HBAR = 1.0545718176461565e-34  # J s
+MU_0 = 1.25663706127e-06  # N A^-2

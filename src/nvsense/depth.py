@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, minimize_scalar
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
 from .errors import NumericalError
@@ -194,6 +193,8 @@ def fit_depth(
     through rho / d^3 (times the line overlap), so a wrong density shifts
     the fitted depth by the corresponding cube-root factor.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit, minimize_scalar
+
     if np.min(data.coherence) >= 0.95:
         raise NumericalError("no visible dip (min coherence >= 0.95)")
     rho = data.rho if rho is None else rho

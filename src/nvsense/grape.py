@@ -18,8 +18,6 @@ JMR 212, 412 (2011).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .constants import A_PARALLEL_HZ
 from .tables import write_table
@@ -31,6 +29,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def rotation_target(angle: float, axis: str = "x") -> np.ndarray:
     """Unitary for a rotation by ``angle`` about x or y."""
+    from scipy.linalg import expm
+
     sigma = SIGMA_X if axis == "x" else SIGMA_Y
     return expm(-0.5j * angle * sigma)
 
@@ -223,6 +223,8 @@ def _descend(problem, wf, target_infidelity, max_iterations):
     1, so the default relative-reduction test would act as an absolute one
     and stop on plateaus near 1e-3; ftol = 0 turns it off.
     """
+    from scipy.optimize import minimize
+
     n = problem.n_pieces
 
     def waveform(p):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .constants import GAMMA_E, HBAR, MU_0
 from .errors import NumericalError
@@ -172,12 +171,21 @@ def deduct_t1(curve, t1: float):
     """Divide out the spin-lattice envelope exp(-t/T1); clip to [0, 1.05].
 
     The single-exponential envelope form is a documented convention.
+    T1 = inf leaves the curve unchanged. A T1 so short that the envelope
+    drops below the normal float range at the curve's times is rejected:
+    the envelope has then lost its precision or reached zero.
     """
     from .sequences import CoherenceCurve
 
-    if t1 <= 0:
-        raise ValueError("t1 must be > 0")
+    if not t1 > 0:  # NaN fails this too
+        raise ValueError(f"t1 must be > 0, got {t1}")
     env = np.exp(-curve.times / t1)
+    underflow = env < np.finfo(float).tiny
+    if np.any(underflow):
+        raise ValueError(
+            f"t1 = {t1:g} s is too short: exp(-t/T1) underflows from "
+            f"t = {curve.times[underflow][0]:g} s"
+        )
     c = np.clip(curve.coherence / env, 0.0, 1.05)
     sigma = curve.sigma / env
     return CoherenceCurve(
@@ -211,6 +219,8 @@ def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
     A fit whose width runs past the grid by 100x is flagged degenerate
     (flat input).
     """
+    from scipy.optimize import curve_fit
+
     if len(spec.omega) < 4:
         raise NumericalError("need at least 4 grid points")
     w_scale = spec.omega[-1]

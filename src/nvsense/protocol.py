@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import pdtr, pdtrc
 
 from .sensitivity import SensitivityBudget
 from .sequences import DDSequence
@@ -33,8 +32,6 @@ class ChargeReadoutModel:
 
     mean_photons_minus: float = 0.5  # NV- counts per readout window
     mean_photons_zero: float = 0.05  # NV0 counts per readout window
-    readout_window: float = 970e-9  # s
-    mixing_pulse: float = 95e-9  # s
     equilibrium_fraction: float = 0.74  # NV- population without feedback
     max_cycles: int = 100
     threshold: int = 1  # accept when counts >= threshold
@@ -48,10 +45,6 @@ class ChargeReadoutModel:
             raise ValueError("equilibrium fraction must be in (0, 1)")
         if self.max_cycles < 1 or self.threshold < 1:
             raise ValueError("max_cycles and threshold must be >= 1")
-
-    @property
-    def cycle_duration(self) -> float:
-        return self.readout_window + self.mixing_pulse
 
 
 @dataclass
@@ -151,6 +144,8 @@ class ReadoutChainModel:
         zero) when flip_probability * n_cycles >> 1. Poisson tail masses
         are evaluated on both sides of the threshold.
         """
+        from scipy.special import pdtr, pdtrc
+
         n = self.n_cycles
         if n == 0:
             return 0.5

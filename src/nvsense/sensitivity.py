@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .constants import GAMMA_E, HBAR, MU_0
 from .errors import NumericalError
@@ -93,6 +92,8 @@ def fit_fringe(volts, counts, t_interrogation, gamma_e=GAMMA_E) -> FringeFit:
     fringe period (the coefficient is ambiguous), when the fringe has no
     contrast, or when the fit does not converge.
     """
+    from scipy.optimize import curve_fit
+
     volts = np.asarray(volts, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if volts.shape != counts.shape or volts.ndim != 1:

@@ -47,13 +47,32 @@ class TestBasics:
         proc = run_cli("frobnicate", check=False)
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy"])
     def test_import_leaves_module_out(self, module):
         code = f"import sys, nvsense.cli; print({module!r} in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["erl"], ["gen", "noise"], ["gen", "depth", "--suite"]],
+        ids=["erl", "gen-noise", "gen-depth-suite"],
+    )
+    def test_command_without_fit_leaves_scipy_out(self, args, tmp_path):
+        """Commands that fit nothing run without importing any scipy module."""
+        argv = ["--out", str(tmp_path), *args]
+        code = (
+            "import sys\n"
+            "from nvsense.cli import main\n"
+            f"main({argv!r}, standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestGen:
@@ -191,6 +210,15 @@ class TestNoiseCommand:
         assert comparison["db_below_erl_line"] == pytest.approx(21.6, abs=3.0)
         lor = json.loads((tmp_path / "lorentzian.json").read_text())
         assert lor["s_max_t2_per_hz"] > 0
+
+    def test_t1_too_short_is_data_error(self, noise_bundle, tmp_path):
+        proc = run_cli(
+            "--out", tmp_path, "noise", noise_bundle, "--t1", "1e-7", check=False
+        )
+        assert proc.returncode == 3
+        # one error line naming t1; no numpy warning reaches stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: t1 = 1e-07 s is too short")
 
     def test_empty_dir_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"

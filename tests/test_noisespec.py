@@ -153,6 +153,15 @@ class TestDeductT1:
         np.testing.assert_allclose(out.coherence, pure, rtol=0.02)
         assert np.all(out.coherence >= curve.coherence - 1e-12)
 
+    @pytest.mark.parametrize("t1", [np.nan, -np.inf, 0.0, 1e-7])
+    def test_unusable_t1_rejected(self, t1):
+        # 1e-7 s: exp(-t/T1) underflows to zero over the curve's times; the
+        # rejection names t1 and raises no numpy warning on the way
+        t = self._curve()
+        curve = CoherenceCurve(t, np.exp(-t / 1e-3), np.full_like(t, 0.01))
+        with pytest.raises(ValueError, match="t1"):
+            deduct_t1(curve, t1)
+
 
 class TestLorentzianFit:
     def test_noiseless_self_consistency(self):

@@ -28,10 +28,6 @@ class TestChargeModel:
         with pytest.raises(ValueError):
             ChargeReadoutModel(mean_photons_minus=0.3, mean_photons_zero=0.3)
 
-    def test_default_timing(self):
-        m = ChargeReadoutModel()
-        assert m.cycle_duration == pytest.approx(970e-9 + 95e-9)
-
 
 class TestChargeInit:
     def test_feedback_raises_purity_above_equilibrium(self):
