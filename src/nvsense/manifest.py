@@ -51,8 +51,13 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         d = json.loads(text)
+        command = d["command"]
+        if not isinstance(command, list) or not all(
+            isinstance(arg, str) for arg in command
+        ):
+            raise ValueError(f"command must be a list of strings, not {command!r}")
         return cls(
-            command=d["command"],
+            command=command,
             seed=d["seed"],
             version=d["version"],
             config_path=d.get("config_path"),

@@ -34,7 +34,6 @@ class NoiseSpectrum:
 
     omega: np.ndarray  # rad/s, strictly increasing
     s: np.ndarray  # T^2/Hz
-    lorentzian: tuple | None = None  # (s_max, width, center) if fitted
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)

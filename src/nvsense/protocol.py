@@ -21,8 +21,12 @@ from .tables import write_table
 BATCH_SIZE = 4096
 
 
-def _rng(seed: int, batch: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, batch]))
+def _batches(n: int, seed: int):
+    """Each fixed-size batch of ``n`` draws: its slice of the draws and its
+    own Philox stream, keyed by the seed and the batch index."""
+    for batch, lo in enumerate(range(0, n, BATCH_SIZE)):
+        rng = np.random.Generator(np.random.Philox(key=[seed, batch]))
+        yield slice(lo, min(lo + BATCH_SIZE, n)), rng
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,10 @@ def simulate_charge_init(
         raise ValueError("n_trials must be >= 1")
     acc_n = minus_n = 0
     cyc_hist = np.zeros(model.max_cycles + 1, dtype=np.int64)
-    for batch in range(0, -(-n_trials // BATCH_SIZE)):
-        m = min(BATCH_SIZE, n_trials - batch * BATCH_SIZE)
-        rng = _rng(seed, batch)
-        accepted, is_minus, cycles = _charge_init_batch(model, rng, m)
+    for sl, rng in _batches(n_trials, seed):
+        accepted, is_minus, cycles = _charge_init_batch(
+            model, rng, sl.stop - sl.start
+        )
         acc_n += int(np.count_nonzero(accepted))
         minus_n += int(np.count_nonzero(is_minus & accepted))
         cyc_hist += np.bincount(
@@ -215,11 +219,8 @@ def simulate_repetitive_readout(
         raise ValueError("n_shots must be >= 1")
     thr = model.classification_threshold()
     photons = np.empty(n_shots, dtype=np.int64)
-    for batch in range(0, -(-n_shots // BATCH_SIZE)):
-        m = min(BATCH_SIZE, n_shots - batch * BATCH_SIZE)
-        rng = _rng(seed, batch)
-        states = np.full(m, true_state)
-        sl = slice(batch * BATCH_SIZE, batch * BATCH_SIZE + m)
+    for sl, rng in _batches(n_shots, seed):
+        states = np.full(sl.stop - sl.start, true_state)
         photons[sl] = _readout_photons(model, rng, states)
     if model.n_cycles == 0:
         return 0.5, photons
@@ -343,22 +344,21 @@ def run_experiment(
     photons = np.empty(n_shots, dtype=np.int64)
 
     def one_batch(batch):
-        lo = batch * BATCH_SIZE
-        m = min(BATCH_SIZE, n_shots - lo)
-        rng = _rng(seed, batch)
-        return lo, m, _experiment_batch(config, signal * signs[lo : lo + m], rng, m)
+        sl, rng = batch
+        m = sl.stop - sl.start
+        return sl, _experiment_batch(config, signal * signs[sl], rng, m)
 
-    batches = range(0, -(-n_shots // BATCH_SIZE))
+    batches = _batches(n_shots, seed)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_batch, batches))
     else:
-        results = [one_batch(b) for b in batches]
-    for lo, m, (cycles, pho) in results:
-        init_cycles[lo : lo + m] = cycles
-        photons[lo : lo + m] = pho
+        results = map(one_batch, batches)
+    for sl, (cycles, pho) in results:
+        init_cycles[sl] = cycles
+        photons[sl] = pho
     return ExperimentRun(
         seed=seed,
         config=config.descriptor(),

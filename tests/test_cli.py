@@ -7,6 +7,15 @@ from pathlib import Path
 import pytest
 
 CLI = [sys.executable, "-m", "nvsense"]
+SMALL_PROBLEM = {
+    "angle_deg": 90,
+    "axis": "y",
+    "n_pieces": 14,
+    "piece_duration_s": 25e-9,
+    "max_rabi_hz": 20e6,
+    "target_infidelity": 1e-3,
+}
+SMALL_SENSE = {"n_shots": 20000, "shots_per_point": 500, "volts": [0.0, 0.4, 15]}
 
 
 def run_cli(*args, check=True):
@@ -46,6 +55,11 @@ class TestBasics:
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate", check=False)
         assert proc.returncode == 2
+
+    def test_zero_threads_usage_error(self, tmp_path):
+        proc = run_cli("--threads", 0, "--out", tmp_path, "erl", check=False)
+        assert proc.returncode == 2
+        assert "--threads" in proc.stderr
 
     @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy"])
     def test_import_leaves_module_out(self, module):
@@ -261,6 +275,24 @@ class TestErlCommand:
             assert "byte-identically" in proc.stdout
             assert json.loads(manifest_path.read_text())["command"] == command
 
+    @pytest.mark.parametrize(
+        "command",
+        [None, "erl", ["rerun", "SELF"], ["--seed", "1", "rerun", "SELF"]],
+        ids=["null", "string", "rerun-itself", "rerun-itself-after-option"],
+    )
+    def test_rerun_rejects_command(self, command, tmp_path):
+        """A recorded command that is not a list of strings, or is itself a
+        rerun, exits 3 with one error line."""
+        path = tmp_path / "manifest.json"
+        if isinstance(command, list):
+            command = [str(path) if arg == "SELF" else arg for arg in command]
+        manifest = {"command": command, "seed": 0, "version": "0.1.0", "outputs": {}}
+        path.write_text(json.dumps(manifest))
+        proc = run_cli("rerun", path, check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: cannot read manifest: ")
+
     def test_rerun_detects_tampering(self, tmp_path):
         run_cli("--out", tmp_path, "erl")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -275,11 +307,7 @@ class TestErlCommand:
 class TestSenseCommand:
     def test_small_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {"n_shots": 20000, "shots_per_point": 500, "volts": [0.0, 0.4, 15]}
-            )
-        )
+        cfg.write_text(json.dumps(SMALL_SENSE))
         run_cli("--seed", 4, "--config", cfg, "--out", tmp_path, "sense")
         budget = json.loads((tmp_path / "budget.json").read_text())
         assert budget["fitted_b_v_t_per_v"] == pytest.approx(112e-9, rel=0.10)
@@ -295,18 +323,7 @@ class TestSenseCommand:
 class TestGrapeCommand:
     def test_small_problem(self, tmp_path):
         problem = tmp_path / "problem.json"
-        problem.write_text(
-            json.dumps(
-                {
-                    "angle_deg": 90,
-                    "axis": "y",
-                    "n_pieces": 14,
-                    "piece_duration_s": 25e-9,
-                    "max_rabi_hz": 20e6,
-                    "target_infidelity": 1e-3,
-                }
-            )
-        )
+        problem.write_text(json.dumps(SMALL_PROBLEM))
         run_cli("--seed", 1, "--out", tmp_path, "grape", problem)
         summary = json.loads((tmp_path / "grape_summary.json").read_text())
         assert summary["fidelity"] >= 0.999
@@ -353,3 +370,70 @@ def test_nan_field_is_data_error(command, depth_bundle, noise_bundle, tmp_path):
     proc = run_cli("--out", tmp_path / "out", command, *args, check=False)
     assert proc.returncode == 3
     assert "line 3: " in proc.stderr and "is not a finite number: 'nan'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "config-list",
+        "problem-list",
+        "problem-angle-null",
+        "depth-sidecar-list",
+        "depth-sidecar-n-null",
+        "coherence-sidecar-list",
+    ],
+)
+def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path):
+    """A JSON input that is not an object, or holds a value of the wrong
+    type, exits 3 with one error line."""
+    bad = tmp_path / "bad.json"
+    if case == "config-list":
+        bad.write_text("[1, 2]")
+        args = ["--config", bad, "sense"]
+    elif case.startswith("problem"):
+        problem = {**SMALL_PROBLEM, "angle_deg": None}
+        bad.write_text(json.dumps([1, 2] if case == "problem-list" else problem))
+        args = ["grape", bad]
+    elif case.startswith("depth"):
+        meta = json.loads((depth_bundle / "depth_dataset.json").read_text())
+        meta["N"] = None
+        bad.write_text(json.dumps([1, 2] if case == "depth-sidecar-list" else meta))
+        args = ["depth", depth_bundle / "depth_dataset.csv", bad]
+    else:
+        curves = tmp_path / "curves"
+        shutil.copytree(noise_bundle, curves)
+        (curves / "coherence_n16.json").write_text("[1, 2]")
+        args = ["noise", curves]
+    proc = run_cli("--out", tmp_path / "out", *args, check=False)
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command", ["depth", "noise", "grape", "sense", "erl", "gen depth", "gen noise"]
+)
+def test_manifest_lists_every_output(command, depth_bundle, noise_bundle, tmp_path):
+    """The files a command writes to --out are exactly the manifest's outputs."""
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(SMALL_PROBLEM))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_SENSE))
+    args = {
+        "depth": [
+            "depth",
+            depth_bundle / "depth_dataset.csv",
+            depth_bundle / "depth_dataset.json",
+        ],
+        "noise": ["noise", noise_bundle],
+        "grape": ["grape", problem],
+        "sense": ["--config", cfg, "sense"],
+        "erl": ["erl"],
+        "gen depth": ["gen", "depth"],
+        "gen noise": ["gen", "noise"],
+    }[command]
+    out = tmp_path / "out"
+    run_cli("--out", out, *args)
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = {str(p) for p in out.iterdir()} - {str(out / "manifest.json")}
+    assert written == set(manifest["outputs"])
