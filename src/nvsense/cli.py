@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
+from .errors import as_int
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
@@ -246,7 +247,7 @@ def grape(run, problem_json):
     angle = float(spec["angle_deg"]) * np.pi / 180.0
     problem = GrapeProblem(
         target=rotation_target(angle, spec.get("axis", "x")),
-        n_pieces=int(spec["n_pieces"]),
+        n_pieces=as_int(spec["n_pieces"], "n_pieces"),
         piece_duration=float(spec["piece_duration_s"]),
         max_rabi_hz=float(spec["max_rabi_hz"]),
     )
@@ -281,13 +282,13 @@ def sense(run):
     cfg = {**json.loads(run.input(run.config))} if run.config else {}
     config = nv3_config()
     signal = float(cfg.get("signal_t", 1e-9))
-    n_shots = int(cfg.get("n_shots", 120000))
+    n_shots = as_int(cfg.get("n_shots", 120000), "n_shots")
     v_lo, v_hi, v_n = cfg.get("volts", [0.0, 0.4, 25])
-    shots_per_point = int(cfg.get("shots_per_point", 4000))
+    shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
 
     volts, counts = simulate_fringe(
         config,
-        np.linspace(v_lo, v_hi, int(v_n)),
+        np.linspace(v_lo, v_hi, as_int(v_n, "volts count")),
         shots_per_point=shots_per_point,
         seed=run.seed,
     )

@@ -23,13 +23,12 @@ and one overlap.
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
-from .errors import NumericalError
+from .errors import NumericalError, as_int, least_squares
 from .tables import read_table, write_table
 
 # proton number densities (m^-3)
@@ -43,7 +42,6 @@ class ProtonBathModel:
 
     rho: float  # m^-3
     d_nv: float  # m
-    gamma_n: float = GAMMA_H  # rad s^-1 T^-1
     t2n_star: float = 1e-3  # s
     diffusion: float = 0.0  # m^2/s
 
@@ -58,8 +56,8 @@ class ProtonBathModel:
 
 
 def b_rms_squared(model: ProtonBathModel) -> float:
-    """Mean-square proton field rho (mu0 hbar gamma_n / 4pi)^2 (5pi / 96 d^3)."""
-    dipole = MU_0 * HBAR * model.gamma_n / (4 * np.pi)
+    """Mean-square proton field rho (mu0 hbar gamma_H / 4pi)^2 (5pi / 96 d^3)."""
+    dipole = MU_0 * HBAR * GAMMA_H / (4 * np.pi)
     return model.rho * dipole**2 * (5 * np.pi) / (96 * model.d_nv**3)
 
 
@@ -103,16 +101,15 @@ def proton_signal_coherence(
     n_pulses: int,
     taus,
     b0: float,
-    gamma_e: float = GAMMA_E,
 ) -> np.ndarray:
     """Coherence C(tau) of the NV under an N-pulse train near the proton
     Larmor frequency at the measurement field ``b0`` (T)."""
     taus = np.asarray(taus, dtype=float)
     brms2 = b_rms_squared(model)
-    omega_l = abs(model.gamma_n) * b0
+    omega_l = GAMMA_H * b0
     lam = model.linewidth
     k_vals = _overlap_k(n_pulses, taus, omega_l, lam)
-    return np.exp(-(2 / np.pi**2) * gamma_e**2 * brms2 * k_vals)
+    return np.exp(-(2 / np.pi**2) * GAMMA_E**2 * brms2 * k_vals)
 
 
 _DATASET_HEADER = "tau_s,coherence,sigma"
@@ -165,7 +162,7 @@ class DepthDataset:
             t,
             c,
             s,
-            n_pulses=int(meta["N"]),
+            n_pulses=as_int(meta["N"], "N"),
             b0=float(meta["b0_tesla"]),
             sample=meta.get("sample", "glycerine"),
             rho=float(meta["rho_per_nm3"]) * 1e27,
@@ -182,23 +179,19 @@ class DepthFit:
     covariance: np.ndarray
 
 
-def fit_depth(
-    data: DepthDataset,
-    rho: float | None = None,
-    gamma_n: float = GAMMA_H,
-) -> DepthFit:
+def fit_depth(data: DepthDataset) -> DepthFit:
     """Nonlinear least squares over the NV depth and the proton linewidth.
 
-    ``rho`` defaults to the dataset's sample density. The depth enters only
-    through rho / d^3 (times the line overlap), so a wrong density shifts
-    the fitted depth by the corresponding cube-root factor.
+    The depth enters only through rho / d^3 (times the line overlap), so a
+    wrong sample density shifts the fitted depth by the corresponding
+    cube-root factor. A fit that ends within 1e-6 (relative) of a bound, or
+    whose depth sigma is not below the depth, is refused.
     """
-    from scipy.optimize import OptimizeWarning, curve_fit, minimize_scalar
+    from scipy.optimize import minimize_scalar
 
     if np.min(data.coherence) >= 0.95:
         raise NumericalError("no visible dip (min coherence >= 0.95)")
-    rho = data.rho if rho is None else rho
-    omega_l = abs(gamma_n) * data.b0
+    omega_l = GAMMA_H * data.b0
     taus = data.taus
     c_obs = data.coherence
     weights = 1.0 / data.sigma if np.all(data.sigma > 0) else np.ones_like(taus)
@@ -217,13 +210,15 @@ def fit_depth(
         )
         return float(res.x), float(res.fun)
 
-    lam_grid = np.geomspace(1e3, 1e7, 25)
+    # bounds on (depth in m, linewidth in rad/s)
+    lo, hi = np.array([1e-9, 1e3]), np.array([500e-9, 1e7])
+    lam_grid = np.geomspace(lo[1], hi[1], 25)
     k_scan = _overlap_k(data.n_pulses, taus, omega_l, lam_grid[:, None])
     scans = [amplitude_cost(k) for k in k_scan]
     i_best = int(np.argmin([cost for _, cost in scans]))
     q_best = scans[i_best][0]
     lam_best = float(lam_grid[i_best])
-    unit = ProtonBathModel(rho=rho, d_nv=1e-9, gamma_n=gamma_n)
+    unit = ProtonBathModel(rho=data.rho, d_nv=1e-9)
     q_per_d3 = (2 / np.pi**2) * GAMMA_E**2 * b_rms_squared(unit) * (1e-9) ** 3
     if q_best <= 0:
         raise NumericalError("dip amplitude fitted to zero")
@@ -233,30 +228,28 @@ def fit_depth(
         q = q_per_d3 / d_nv**3
         return np.exp(-q * _overlap_k(data.n_pulses, tau, omega_l, np.exp(log_lam)))
 
-    # a singular covariance is reported by the check below, not as a warning
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(
-                model_log,
-                taus,
-                c_obs,
-                p0=(d_best, np.log(lam_best)),
-                sigma=data.sigma if np.all(data.sigma > 0) else None,
-                bounds=([1e-9, np.log(1e3)], [500e-9, np.log(1e7)]),
-                maxfev=400,
-            )
-    except RuntimeError as exc:
-        raise NumericalError("depth fit polish did not converge") from exc
-    if not np.all(np.isfinite(pcov)):
+    popt, pcov = least_squares(
+        model_log, taus, c_obs, (d_best, np.log(lam_best)),
+        ([lo[0], np.log(lo[1])], [hi[0], np.log(hi[1])]), "depth fit",
+        sigma=data.sigma if np.all(data.sigma > 0) else None, maxfev=400,
+    )
+    d, lam = float(popt[0]), float(np.exp(popt[1]))
+    d_sigma = float(np.sqrt(pcov[0, 0]))
+    # within 1e-6 of a bound, relative to that bound
+    fitted = np.array([d, lam])
+    if np.any((fitted <= lo * (1 + 1e-6)) | (fitted >= hi * (1 - 1e-6))):
         raise NumericalError(
-            f"depth fit covariance is not finite; {len(taus)} scan point(s) "
-            "cannot constrain the depth and the linewidth"
+            f"depth fit ends on a bound: depth {d * 1e9:.6g} nm (bounds 1-500), "
+            f"linewidth {lam:.7g} rad/s (bounds 1e3-1e7)"
         )
-    lam = float(np.exp(popt[1]))
+    if d_sigma >= d:
+        raise NumericalError(
+            f"depth fit cannot resolve the depth: "
+            f"{d * 1e9:.2f} +- {d_sigma * 1e9:.2f} nm"
+        )
     return DepthFit(
-        d_nv=float(popt[0]),
-        d_nv_sigma=float(np.sqrt(pcov[0, 0])),
+        d_nv=d,
+        d_nv_sigma=d_sigma,
         linewidth=lam,
         linewidth_sigma=float(lam * np.sqrt(pcov[1, 1])),
         covariance=pcov,

@@ -3,10 +3,44 @@
 Malformed or out-of-range input raises the built-in ``ValueError`` (the
 CLI exits 3). A fit or numerical method that cannot return a number it can
 defend raises ``NumericalError`` (the CLI exits 4, as for any other
-``ArithmeticError``).
+``ArithmeticError``). Every fit goes through ``least_squares``; every JSON
+count through ``as_int``.
 """
+
+import warnings
+
+import numpy as np
 
 
 class NumericalError(ArithmeticError):
     """A fit is degenerate, ambiguous or unconverged, or a computation lost
     the accuracy its result needs."""
+
+
+def as_int(value, field: str) -> int:
+    """The JSON count ``value`` of ``field``: an int, or a float with no
+    fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def least_squares(model, x, y, p0, bounds, what, sigma=None, maxfev=20000):
+    """``curve_fit`` of ``model`` to (x, y) -> (popt, pcov). A fit that does not
+    converge or starts outside ``bounds``, or a covariance that is not finite,
+    raises ``NumericalError`` naming the fit ``what``, with no warning."""
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OptimizeWarning)
+            popt, pcov = curve_fit(
+                model, x, y, p0=p0, sigma=sigma, bounds=bounds, maxfev=maxfev
+            )
+    except (RuntimeError, ValueError) as exc:
+        raise NumericalError(f"{what} did not converge: {exc}") from exc
+    if not np.all(np.isfinite(pcov)):
+        raise NumericalError(f"{what} covariance is not finite with {len(x)} point(s)")
+    return popt, pcov

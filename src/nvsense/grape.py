@@ -31,8 +31,9 @@ def rotation_target(angle: float, axis: str = "x") -> np.ndarray:
     """Unitary for a rotation by ``angle`` about x or y."""
     from scipy.linalg import expm
 
-    sigma = SIGMA_X if axis == "x" else SIGMA_Y
-    return expm(-0.5j * angle * sigma)
+    if axis not in ("x", "y"):
+        raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
+    return expm(-0.5j * angle * (SIGMA_X if axis == "x" else SIGMA_Y))
 
 
 @dataclass(frozen=True)

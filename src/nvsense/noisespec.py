@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU_0
-from .errors import NumericalError
-from .tables import write_table
+from .errors import NumericalError, least_squares
 
 ITERATION_RTOL = 1e-3
 
@@ -76,9 +75,6 @@ class NoiseSpectrum:
             out[above] = self.s[-1] * (w1[above] / self.omega[-1]) ** p
         out[out < 1e-300] = 0.0
         return out[0] if scalar else out
-
-    def to_csv(self) -> str:
-        return write_table("omega_rad_s,s_t2_per_hz", self.omega, self.s)
 
 
 def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
@@ -218,8 +214,6 @@ def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
     A fit whose width runs past the grid by 100x is flagged degenerate
     (flat input).
     """
-    from scipy.optimize import curve_fit
-
     if len(spec.omega) < 4:
         raise NumericalError("need at least 4 grid points")
     w_scale = spec.omega[-1]
@@ -230,12 +224,9 @@ def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
     def model(x, a, g):
         return a * g**2 / (g**2 + x**2)
 
-    try:
-        popt, pcov = curve_fit(
-            model, w, s, p0=(1.0, 0.5), bounds=([0, 1e-6], [10, 1e3]), maxfev=20000
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise NumericalError("Lorentzian fit did not converge") from exc
+    popt, pcov = least_squares(
+        model, w, s, (1.0, 0.5), ([0, 1e-6], [10, 1e3]), "Lorentzian fit"
+    )
     a, g = popt
     return LorentzianFit(
         s_max=float(a * s_scale),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU_0
-from .errors import NumericalError
+from .errors import NumericalError, least_squares
 from .tables import read_table
 
 
@@ -85,15 +85,13 @@ class FringeFit:
     covariance: np.ndarray
 
 
-def fit_fringe(volts, counts, t_interrogation, gamma_e=GAMMA_E) -> FringeFit:
+def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     """Least-squares fringe fit returning the field-per-volt coefficient.
 
     Raises NumericalError when the voltage sweep covers less than one full
     fringe period (the coefficient is ambiguous), when the fringe has no
     contrast, or when the fit does not converge.
     """
-    from scipy.optimize import curve_fit
-
     volts = np.asarray(volts, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if volts.shape != counts.shape or volts.ndim != 1:
@@ -118,20 +116,11 @@ def fit_fringe(volts, counts, t_interrogation, gamma_e=GAMMA_E) -> FringeFit:
     def model(v, a, k, phi, c):
         return a * np.sin(k * v + phi) + c
 
-    try:
-        popt, pcov = curve_fit(
-            model,
-            volts,
-            counts,
-            p0=(a0, k0, 0.0, c0),
-            bounds=(
-                [0.0, 0.1 * k0, -2 * np.pi, -np.inf],
-                [np.inf, 10 * k0, 2 * np.pi, np.inf],
-            ),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise NumericalError("fringe fit did not converge") from exc
+    popt, pcov = least_squares(
+        model, volts, counts, (a0, k0, 0.0, c0),
+        ([0.0, 0.1 * k0, -2 * np.pi, -np.inf], [np.inf, 10 * k0, 2 * np.pi, np.inf]),
+        "fringe fit",
+    )
     a, k, phi, c = popt
     if a < 1e-12 * max(abs(c), 1.0):
         raise NumericalError("fitted fringe contrast is zero")
@@ -140,7 +129,7 @@ def fit_fringe(volts, counts, t_interrogation, gamma_e=GAMMA_E) -> FringeFit:
             "voltage sweep covers less than one fringe period; "
             "the field-per-volt coefficient is ambiguous"
         )
-    scale = gamma_e * t_interrogation
+    scale = GAMMA_E * t_interrogation
     return FringeFit(
         a=float(a),
         c_offset=float(c),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E
+from .errors import as_int
 from .tables import read_table, write_table
 
 _BASE_BLOCK = {"CPMG": 1, "XY8": 8, "XY16": 16, "RAMSEY": 0}
@@ -143,6 +144,6 @@ class CoherenceCurve:
         family, n = "XY16", 0
         if sidecar:
             meta = json.loads(sidecar)
-            family, n = meta["family"], int(meta["N"])
+            family, n = meta["family"], as_int(meta["N"], "N")
         return cls(t, c, s, family=family, n_pulses=n)
 

@@ -204,6 +204,26 @@ class TestDepthCommand:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ") and "covariance is not finite" in line
 
+    def test_shallow_dip_is_numerical_error(self, tmp_path):
+        # a 2,000 nm emitter shows no dip; one point at 0.93 passes the
+        # visible-dip check, and the amplitude scan then starts the polish
+        # beyond the 500 nm bound
+        run_cli(
+            "--out", tmp_path, "gen", "depth", "--depth-nm", 2000, "--pulses", 65536
+        )
+        header, *rows = (tmp_path / "depth_dataset.csv").read_text().splitlines()
+        tau, _, sigma = rows[len(rows) // 2].split(",")
+        rows[len(rows) // 2] = f"{tau},0.93,{sigma}"
+        scan = tmp_path / "shallow.csv"
+        scan.write_text("\n".join([header, *rows]) + "\n")
+        proc = run_cli(
+            "--out", tmp_path / "fit", "depth", scan, tmp_path / "depth_dataset.json",
+            check=False,
+        )
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+
     def test_missing_file_is_usage_error(self, tmp_path):
         proc = run_cli(
             "--out", tmp_path, "depth", "/nonexistent.csv", "/nonexistent.json",
@@ -372,38 +392,42 @@ def test_nan_field_is_data_error(command, depth_bundle, noise_bundle, tmp_path):
     assert "line 3: " in proc.stderr and "is not a finite number: 'nan'" in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "config-list",
-        "problem-list",
-        "problem-angle-null",
-        "depth-sidecar-list",
-        "depth-sidecar-n-null",
-        "coherence-sidecar-list",
-    ],
-)
+# the field each case replaces in a valid input; None writes a JSON list
+JSON_EDITS = {
+    "config-list": None,
+    "config-n-shots-fractional": {"n_shots": 20000.5},
+    "problem-list": None,
+    "problem-angle-null": {"angle_deg": None},
+    "problem-n-pieces-fractional": {"n_pieces": 10.9},
+    "problem-axis-z": {"axis": "z"},
+    "depth-sidecar-list": None,
+    "depth-sidecar-n-null": {"N": None},
+    "depth-sidecar-n-fractional": {"N": 4096.9},
+    "coherence-sidecar-list": None,
+    "coherence-sidecar-n-fractional": {"N": 16.5},
+}
+
+
+@pytest.mark.parametrize("case", JSON_EDITS)
 def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path):
-    """A JSON input that is not an object, or holds a value of the wrong
-    type, exits 3 with one error line."""
+    """A JSON input that is not an object, holds a value of the wrong type,
+    a count that is not a whole number or an unknown rotation axis exits 3
+    with one error line."""
     bad = tmp_path / "bad.json"
-    if case == "config-list":
-        bad.write_text("[1, 2]")
-        args = ["--config", bad, "sense"]
+    if case.startswith("config"):
+        valid, args = SMALL_SENSE, ["--config", bad, "sense"]
     elif case.startswith("problem"):
-        problem = {**SMALL_PROBLEM, "angle_deg": None}
-        bad.write_text(json.dumps([1, 2] if case == "problem-list" else problem))
-        args = ["grape", bad]
+        valid, args = SMALL_PROBLEM, ["grape", bad]
     elif case.startswith("depth"):
-        meta = json.loads((depth_bundle / "depth_dataset.json").read_text())
-        meta["N"] = None
-        bad.write_text(json.dumps([1, 2] if case == "depth-sidecar-list" else meta))
+        valid = json.loads((depth_bundle / "depth_dataset.json").read_text())
         args = ["depth", depth_bundle / "depth_dataset.csv", bad]
     else:
         curves = tmp_path / "curves"
         shutil.copytree(noise_bundle, curves)
-        (curves / "coherence_n16.json").write_text("[1, 2]")
-        args = ["noise", curves]
+        bad = curves / "coherence_n16.json"
+        valid, args = json.loads(bad.read_text()), ["noise", curves]
+    edit = JSON_EDITS[case]
+    bad.write_text(json.dumps([1, 2] if edit is None else {**valid, **edit}))
     proc = run_cli("--out", tmp_path / "out", *args, check=False)
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()

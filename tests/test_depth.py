@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +20,8 @@ from nvsense.errors import NumericalError
 from nvsense.sequences import DDSequence
 
 from nvsense.synth import DEPTH_B0 as B0_MEAS
-from nvsense.synth import DEPTH_SUITE, TAU_LARMOR, make_depth_dataset as make_dataset
+from nvsense.synth import DEPTH_SUITE, TAU_LARMOR, make_depth_suite
+from nvsense.synth import make_depth_dataset as make_dataset
 from oracles import exact_filter
 
 OMEGA_L = GAMMA_H * B0_MEAS
@@ -170,8 +172,30 @@ class TestFitDepth:
         # fitting with doubled density shifts the depth by exactly 2^(1/3)
         data = make_dataset(31.7e-9, 4096, noise=0.005, seed=7)
         fit1 = fit_depth(data)
-        fit2 = fit_depth(data, rho=2 * RHO_GLYCERINE)
+        fit2 = fit_depth(dataclasses.replace(data, rho=2 * RHO_GLYCERINE))
         assert fit2.d_nv / fit1.d_nv == pytest.approx(2 ** (1 / 3), rel=5e-3)
+
+
+@pytest.mark.parametrize("index", range(len(DEPTH_SUITE)))
+def test_three_point_windows_fit_or_refuse(index):
+    """Every 3-point window of a suite scan (the files `nvsense --seed 0 gen
+    depth --suite` writes) is refused or fits off the bounds with sigma_d < d."""
+    data = make_depth_suite()[index][0]
+    for i in range(len(data.taus) - 2):
+        window = slice(i, i + 3)
+        sub = dataclasses.replace(
+            data,
+            taus=data.taus[window],
+            coherence=data.coherence[window],
+            sigma=data.sigma[window],
+        )
+        try:
+            fit = fit_depth(sub)
+        except NumericalError:
+            continue
+        assert 1e-9 * (1 + 1e-6) < fit.d_nv < 500e-9 * (1 - 1e-6)
+        assert 1e3 * (1 + 1e-6) < fit.linewidth < 1e7 * (1 - 1e-6)
+        assert fit.d_nv_sigma < fit.d_nv
 
 
 class TestDatasetIO:

@@ -36,6 +36,12 @@ def test_fidelity_exact_target_is_one():
     assert fidelity(prob, wf) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("axis", ["z", "X", ""])
+def test_rotation_target_rejects_unknown_axis(axis):
+    with pytest.raises(ValueError, match="rotation axis must be 'x' or 'y'"):
+        rotation_target(np.pi, axis)
+
+
 def test_fidelity_orthogonal_case():
     prob = _singleton_problem(rotation_target(np.pi))
     wf = Waveform(np.zeros(4), np.zeros(4), DT)

@@ -17,7 +17,6 @@ from nvsense.noisespec import (
     spectrum_zeroth,
 )
 from nvsense.sequences import CoherenceCurve, DDSequence, coherence_from_spectrum
-from nvsense.tables import read_table
 
 
 def lorentzian(s_max, width):
@@ -215,12 +214,6 @@ class TestErlNoiseLine:
 
 
 class TestNoiseSpectrumIO:
-    def test_roundtrip(self):
-        spec = NoiseSpectrum([1e4, 1e5, 1e6], [1e-18, 5e-19, 1e-20])
-        omega, s = read_table(spec.to_csv(), "omega_rad_s,s_t2_per_hz")
-        np.testing.assert_array_equal(omega, spec.omega)
-        np.testing.assert_array_equal(s, spec.s)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseSpectrum([2e5, 1e5], [1e-18, 1e-18])
