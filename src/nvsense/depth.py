@@ -176,7 +176,6 @@ class DepthFit:
     d_nv_sigma: float
     linewidth: float
     linewidth_sigma: float
-    covariance: np.ndarray
 
 
 def fit_depth(data: DepthDataset) -> DepthFit:
@@ -252,5 +251,4 @@ def fit_depth(data: DepthDataset) -> DepthFit:
         d_nv_sigma=d_sigma,
         linewidth=lam,
         linewidth_sigma=float(lam * np.sqrt(pcov[1, 1])),
-        covariance=pcov,
     )

@@ -193,7 +193,6 @@ class LorentzianFit:
     s_max: float
     width: float  # rad/s (HWHM of the Lorentzian in omega)
     center: float  # rad/s
-    covariance: np.ndarray
     degenerate_width: bool = False
 
     def to_json(self) -> str:
@@ -224,7 +223,7 @@ def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
     def model(x, a, g):
         return a * g**2 / (g**2 + x**2)
 
-    popt, pcov = least_squares(
+    popt, _ = least_squares(
         model, w, s, (1.0, 0.5), ([0, 1e-6], [10, 1e3]), "Lorentzian fit"
     )
     a, g = popt
@@ -232,7 +231,6 @@ def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
         s_max=float(a * s_scale),
         width=float(g * w_scale),
         center=0.0,
-        covariance=pcov,
         degenerate_width=bool(g > 100.0),
     )
 

@@ -62,27 +62,24 @@ class ChargeInitResult:
 def _charge_init_batch(model: ChargeReadoutModel, rng, m: int):
     """Vectorized feedback loop for a batch of m trials.
 
+    Each round draws only for the trials not yet accepted, in trial order.
     Returns (accepted mask, NV- mask at acceptance, cycles used)."""
-    accepted = np.zeros(m, dtype=bool)
     is_minus = np.zeros(m, dtype=bool)
     cycles = np.full(m, model.max_cycles, dtype=int)
+    active = np.arange(m)
     for cyc in range(1, model.max_cycles + 1):
-        active = ~accepted
-        if not np.any(active):
+        if not active.size:
             break
-        n_act = int(np.count_nonzero(active))
         # mixing pulse re-equilibrates the charge state of active trials
-        state = rng.random(n_act) < model.equilibrium_fraction
-        lam = np.where(
-            state, model.mean_photons_minus, model.mean_photons_zero
-        )
-        counts = rng.poisson(lam)
-        ok = counts >= model.threshold
-        idx = np.flatnonzero(active)
-        newly = idx[ok]
-        accepted[newly] = True
+        state = rng.random(active.size) < model.equilibrium_fraction
+        lam = np.where(state, model.mean_photons_minus, model.mean_photons_zero)
+        ok = rng.poisson(lam) >= model.threshold
+        newly = active[ok]
         is_minus[newly] = state[ok]
         cycles[newly] = cyc
+        active = active[~ok]
+    accepted = np.ones(m, dtype=bool)
+    accepted[active] = False
     return accepted, is_minus, cycles
 
 
@@ -182,28 +179,29 @@ class ReadoutChainModel:
 
 def _readout_photons(model: ReadoutChainModel, rng, states: np.ndarray):
     """Summed photon counts for a batch of shots with given initial nuclear
-    states, including stochastic flips along the chain."""
+    states, including stochastic flips along the chain.
+
+    Every round of the flip loop draws a step for each shot of the batch,
+    so the stream does not depend on how many are left; only the shots
+    still inside the chain use theirs."""
     m = len(states)
     n = model.n_cycles
-    n_one = np.zeros(m)  # cycles spent in state 1
-    pos = np.zeros(m)
-    cur = states.astype(bool).copy()
     q = model.flip_probability
+    cur = states.astype(bool)
     if q == 0 or n == 0:
-        n_one = np.where(cur, float(n), 0.0)
+        n_one = np.where(cur, n, 0)  # cycles spent in state 1
     else:
-        remaining = np.full(m, True)
-        while np.any(remaining):
-            steps = rng.geometric(q, size=m)
-            steps = np.minimum(steps, n - pos)
-            n_one += np.where(cur & remaining, steps, 0.0)
-            pos += np.where(remaining, steps, 0.0)
-            cur = np.where(remaining, ~cur, cur)
-            remaining = pos < n
-    lam = (
-        n_one * model.mean_photons_one
-        + (n - n_one) * model.mean_photons_zero
-    )
+        n_one = np.zeros(m, dtype=np.int64)
+        left = np.arange(m)  # shots still inside the chain
+        pos = np.zeros(m, dtype=np.int64)
+        while left.size:
+            steps = np.minimum(rng.geometric(q, size=m)[left], n - pos)
+            n_one[left[cur]] += steps[cur]
+            pos += steps
+            cur = ~cur
+            inside = pos < n
+            left, pos, cur = left[inside], pos[inside], cur[inside]
+    lam = n_one * model.mean_photons_one + (n - n_one) * model.mean_photons_zero
     return rng.poisson(lam)
 
 

@@ -77,12 +77,8 @@ class FringeFit:
     """Photon-count fringe N_ph(V) = a sin(gamma_e T B_V V + phi) + c."""
 
     a: float
-    c_offset: float
     b_v: float  # T/V
-    b_v_sigma: float
     phi: float  # rad
-    t_interrogation: float
-    covariance: np.ndarray
 
 
 def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
@@ -116,7 +112,7 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     def model(v, a, k, phi, c):
         return a * np.sin(k * v + phi) + c
 
-    popt, pcov = least_squares(
+    popt, _ = least_squares(
         model, volts, counts, (a0, k0, 0.0, c0),
         ([0.0, 0.1 * k0, -2 * np.pi, -np.inf], [np.inf, 10 * k0, 2 * np.pi, np.inf]),
         "fringe fit",
@@ -129,15 +125,8 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
             "voltage sweep covers less than one fringe period; "
             "the field-per-volt coefficient is ambiguous"
         )
-    scale = GAMMA_E * t_interrogation
     return FringeFit(
-        a=float(a),
-        c_offset=float(c),
-        b_v=float(k / scale),
-        b_v_sigma=float(np.sqrt(pcov[1, 1]) / scale),
-        phi=float(phi),
-        t_interrogation=float(t_interrogation),
-        covariance=pcov,
+        a=float(a), b_v=float(k / (GAMMA_E * t_interrogation)), phi=float(phi)
     )
 
 

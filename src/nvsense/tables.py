@@ -4,6 +4,10 @@ A table is a header line of comma-separated column names followed by one
 line per row. Numbers are written with ``str`` of the Python value, which
 for a float is its shortest round-tripping ``repr``, so a table read back
 gives bit-identical arrays. Text fields must not contain commas.
+
+Rows are written in blocks. A block whose columns are all integers is
+formatted in bulk with numpy, digit by digit, into the same bytes; any other
+block is formatted row by row from Python values.
 """
 
 import math
@@ -11,6 +15,57 @@ import math
 import numpy as np
 
 _BLOCK_ROWS = 1 << 14
+_INT64 = range(-(2**63), 2**63)
+# 10, 100, ..., 10**19: a magnitude's digit count less one is its rank here
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _integers(column):
+    """``column`` as an integer array, or None if it is not one."""
+    if isinstance(column, range):
+        if column and (column[0] not in _INT64 or column[-1] not in _INT64):
+            return None
+        return np.arange(column.start, column.stop, column.step, dtype=np.int64)
+    return column if column.dtype.kind in "iu" else None
+
+
+def _digit_counts(magnitude):
+    return 1 + np.searchsorted(_POW10, magnitude, side="right")
+
+
+def _integer_rows(columns) -> str:
+    """The rows of equally long integer arrays, as ``str`` writes each value.
+
+    Each row is first laid out at a fixed width: every field right-aligned
+    in the widest value of its column, its unused places NUL, and followed
+    by its separator. Deleting the NULs leaves the text.
+    """
+    fields = []
+    for col in columns:
+        magnitude = col.astype(np.uint64 if col.dtype.kind == "u" else np.int64)
+        negative = np.flatnonzero(magnitude < 0)
+        magnitude = magnitude.view(np.uint64)
+        magnitude[negative] = -magnitude[negative]  # exact at -2**63
+        sign_at = _digit_counts(magnitude[negative])
+        top = magnitude.max()
+        width = max(int(_digit_counts(top)), int(sign_at.max(initial=0)) + 1)
+        # the narrowest dtype holding every value divides fastest
+        magnitude = magnitude.astype(np.min_scalar_type(top))
+        fields.append((magnitude, negative, sign_at, width))
+    grid = np.zeros((len(columns[0]), sum(f[-1] + 1 for f in fields)), np.uint8)
+    end = 0
+    for magnitude, negative, sign_at, width in fields:
+        end += width
+        for d in range(width):
+            more = magnitude > 0 if d else True  # a 0 has one digit
+            magnitude, digit = np.divmod(magnitude, 10)
+            column = grid[:, end - 1 - d]
+            np.add(digit, ord("0"), out=column, where=more, casting="unsafe")
+        grid[negative, end - 1 - sign_at] = ord("-")
+        grid[:, end] = ord(",")
+        end += 1
+    grid[:, -1] = ord("\n")
+    return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_table(header: str, *columns) -> str:
@@ -27,7 +82,12 @@ def write_table(header: str, *columns) -> str:
     # Python objects for one block of rows at a time: a million-row table
     # as Python ints and row strings would take several times its text
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        values = [np.asarray(c[lo : lo + _BLOCK_ROWS]).tolist() for c in columns]
+        block = [c[lo : lo + _BLOCK_ROWS] for c in columns]
+        integers = [_integers(c) for c in block]
+        if all(c is not None for c in integers):
+            parts.append(_integer_rows(integers))
+            continue
+        values = [list(c) if isinstance(c, range) else c.tolist() for c in block]
         parts.append("".join(map(row.__mod__, zip(*values))))
     return "".join(parts)
 

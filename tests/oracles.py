@@ -9,6 +9,9 @@ comb, and these slower, more direct forms check them.
   pi-pulse train, the reference for the delta comb and the depth overlap.
 - ``exact_coherence``: the coherence from quadrature of the spectrum against
   ``exact_filter``, the reference for ``coherence_from_spectrum``.
+- ``charge_init_batch`` and ``readout_photons``: the protocol's batch kernels
+  as full-length masked loops, the reference for the compacted kernels that
+  must draw the same random numbers in the same order.
 """
 
 import numpy as np
@@ -98,3 +101,51 @@ def exact_coherence(spectrum, seq, gamma=GAMMA_E, k_max=200):
         total += val
     dphi2 = gamma**2 / np.pi * total
     return float(np.exp(-dphi2 / 2.0))
+
+
+def charge_init_batch(model, rng, m):
+    """The feedback loop over all m trials, masking the accepted ones.
+
+    Returns (accepted mask, NV- mask at acceptance, cycles used)."""
+    accepted = np.zeros(m, dtype=bool)
+    is_minus = np.zeros(m, dtype=bool)
+    cycles = np.full(m, model.max_cycles, dtype=int)
+    for cyc in range(1, model.max_cycles + 1):
+        active = ~accepted
+        if not np.any(active):
+            break
+        n_act = int(np.count_nonzero(active))
+        state = rng.random(n_act) < model.equilibrium_fraction
+        lam = np.where(state, model.mean_photons_minus, model.mean_photons_zero)
+        counts = rng.poisson(lam)
+        ok = counts >= model.threshold
+        idx = np.flatnonzero(active)
+        newly = idx[ok]
+        accepted[newly] = True
+        is_minus[newly] = state[ok]
+        cycles[newly] = cyc
+    return accepted, is_minus, cycles
+
+
+def readout_photons(model, rng, states):
+    """Summed photon counts of the readout chain, stepping every shot of the
+    batch through every round of the flip loop."""
+    m = len(states)
+    n = model.n_cycles
+    n_one = np.zeros(m)  # cycles spent in state 1
+    pos = np.zeros(m)
+    cur = states.astype(bool).copy()
+    q = model.flip_probability
+    if q == 0 or n == 0:
+        n_one = np.where(cur, float(n), 0.0)
+    else:
+        remaining = np.full(m, True)
+        while np.any(remaining):
+            steps = rng.geometric(q, size=m)
+            steps = np.minimum(steps, n - pos)
+            n_one += np.where(cur & remaining, steps, 0.0)
+            pos += np.where(remaining, steps, 0.0)
+            cur = np.where(remaining, ~cur, cur)
+            remaining = pos < n
+    lam = n_one * model.mean_photons_one + (n - n_one) * model.mean_photons_zero
+    return rng.poisson(lam)

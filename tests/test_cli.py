@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -16,6 +17,14 @@ SMALL_PROBLEM = {
     "target_infidelity": 1e-3,
 }
 SMALL_SENSE = {"n_shots": 20000, "shots_per_point": 500, "volts": [0.0, 0.4, 15]}
+# SHA-256 of `--seed 6 sense` on 30,000 shots (default fringe) with numpy 2.4's
+# Philox streams; a change to any random stream or writer shows here
+SENSE_DIGESTS = {
+    "shots.csv": "7a1ef2da5971821361303eff822973a9c5db89fd499f9ab67ad4914e96daf56a",
+    "fringe.csv": "eb1abd483b9b054e789626fa2a0b6f49304d393323c0cf8680877d305a086f04",
+    "eta_vs_time.csv": "07a62391fb5275d7ac97302869996e7540f44e2d7d996b7a853162da746f5066",
+    "budget.json": "3b31a3f5dbd14903d6248a86695042bbc9d0b6404f0eb1833bfba51bae979e84",
+}
 
 
 def run_cli(*args, check=True):
@@ -338,6 +347,17 @@ class TestSenseCommand:
         assert eta[0] == "averaging_time_s,eta_t_per_sqrt_hz"
         assert (tmp_path / "fringe.csv").exists()
         assert (tmp_path / "shots.csv").exists()
+
+    def test_outputs_keep_their_digests(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_shots": 30000}))
+        out = tmp_path / "out"
+        run_cli("--seed", 6, "--config", cfg, "--out", out, "sense")
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SENSE_DIGESTS
+        }
+        assert digests == SENSE_DIGESTS
 
 
 class TestGrapeCommand:

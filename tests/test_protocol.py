@@ -9,6 +9,8 @@ from nvsense.protocol import (
     ExperimentRun,
     ProtocolConfig,
     ReadoutChainModel,
+    _charge_init_batch,
+    _readout_photons,
     nv3_config,
     run_experiment,
     simulate_charge_init,
@@ -21,6 +23,13 @@ from nvsense.sensitivity import (
     sensitivity_from_timeseries,
 )
 from nvsense.sequences import DDSequence
+from oracles import charge_init_batch, readout_photons
+
+KERNEL_SEEDS = (0, 1, 7, 6001)
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=[seed, 0]))
 
 
 class TestChargeModel:
@@ -63,6 +72,53 @@ class TestChargeInit:
         assert a.success_fraction == b.success_fraction
         assert a.purity == b.purity
         np.testing.assert_array_equal(a.cycles_histogram, b.cycles_histogram)
+
+
+class TestKernelsMatchOracles:
+    """The compacted batch kernels return the arrays of the full-length
+    loops they replace and leave the stream at the same position, so every
+    later draw of a batch is unchanged too."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ChargeReadoutModel(),
+            ChargeReadoutModel(threshold=2),
+            ChargeReadoutModel(max_cycles=3),
+        ],
+        ids=["defaults", "threshold-2", "max-cycles-3"],
+    )
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_charge_init(self, model, seed):
+        rng, ref_rng = _philox(seed), _philox(seed)
+        got = _charge_init_batch(model, rng, BATCH_SIZE)
+        want = charge_init_batch(model, ref_rng, BATCH_SIZE)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        if model.max_cycles == 3:
+            assert not np.all(want[0])  # some shots are never accepted
+        np.testing.assert_array_equal(rng.random(8), ref_rng.random(8))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ReadoutChainModel(),
+            ReadoutChainModel(flip_probability=0.0),
+            ReadoutChainModel(n_cycles=0),
+            ReadoutChainModel(flip_probability=0.01),
+        ],
+        ids=["defaults", "no-flips", "no-cycles", "flip-0.01"],
+    )
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_readout_photons(self, model, seed):
+        states = _philox(seed + 1).random(BATCH_SIZE) < 0.5
+        rng, ref_rng = _philox(seed), _philox(seed)
+        got = _readout_photons(model, rng, states)
+        want = readout_photons(model, ref_rng, states)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rng.random(8), ref_rng.random(8))
 
 
 class TestReadoutChain:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsense.protocol import nv3_config, run_experiment
-from nvsense.tables import read_table, write_table
+from nvsense.tables import _BLOCK_ROWS, read_table, write_table
 
 HEADER = "a,b,c"
 
@@ -116,3 +116,76 @@ def test_shot_table_matches_per_row_formatting():
         for i, (s, c, p) in enumerate(zip(run.signs, run.init_cycles, run.photons))
     )
     assert run.to_csv() == expected
+
+
+def _per_row(header, *columns):
+    """The table as ``"%s,...\n" % row`` over Python values, one row at a time."""
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    values = [list(c) if isinstance(c, range) else c.tolist() for c in columns]
+    return header + "\n" + "".join(row % r for r in zip(*values))
+
+
+INT_DTYPES = (np.int8, np.int16, np.uint16, np.int64)
+# row counts on both sides of one and two block boundaries
+ROW_COUNTS = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]),
+    st.just(2 * _BLOCK_ROWS + 3),
+)
+
+
+def _edge_values(dtype):
+    """0, +-1, +-(10**k) and +-(10**k - 1), and the limits, within ``dtype``."""
+    info = np.iinfo(dtype)
+    powers = [10**k for k in range(20)]
+    values = {0, 1, -1, info.min, info.max}
+    values.update(v for p in powers for v in (p, p - 1, -p, 1 - p))
+    return np.array(sorted(v for v in values if info.min <= v <= info.max), dtype)
+
+
+@st.composite
+def integer_columns(draw):
+    n = draw(ROW_COUNTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(INT_DTYPES + (range,)))
+        if kind is range:
+            start = draw(st.integers(-(10**6), 10**6))
+            step = draw(st.sampled_from([1, 3, -1, -7]))
+            columns.append(range(start, start + step * n, step))
+            continue
+        info = np.iinfo(kind)
+        edges = _edge_values(kind)
+        spread = rng.integers(info.min, info.max, size=n, dtype=kind, endpoint=True)
+        picks = edges[rng.integers(len(edges), size=n)]
+        columns.append(np.where(rng.random(n) < 0.5, picks, spread).astype(kind))
+    return columns
+
+
+@given(integer_columns())
+@settings(max_examples=60, deadline=None)
+def test_integer_table_matches_per_row_formatting(columns):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    assert write_table(header, *columns) == _per_row(header, *columns)
+
+
+def test_one_row_and_empty_integer_tables():
+    assert write_table("a,b", np.array([-7], np.int8), range(1)) == "a,b\n-7,0\n"
+    assert write_table("a", np.array([], np.int64)) == "a\n"
+
+
+def test_mixed_integer_and_float_table_keeps_its_bytes():
+    ints = np.arange(-3, _BLOCK_ROWS + 3, dtype=np.int64)
+    floats = ints * 0.1
+    assert write_table("i,x", ints, floats) == _per_row("i,x", ints, floats)
+
+
+def test_uint64_beyond_int64_does_not_wrap():
+    big = np.array([2**63, 2**64 - 1, 0, 10**19], dtype=np.uint64)
+    text = write_table("u,i", big, range(4))
+    assert text == "u,i\n" + "".join(f"{v},{i}\n" for i, v in enumerate(big.tolist()))
+    assert "-" not in text
+    # a range beyond int64 is written from Python ints
+    huge = range(2**63 - 2, 2**63 + 2)
+    assert write_table("i", huge) == "i\n" + "".join(f"{i}\n" for i in huge)
