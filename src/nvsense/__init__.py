@@ -12,44 +12,34 @@ Modules:
 The reference physics the tests check these against (matrix-exponential
 propagation, the exact filter function and quadrature coherence) lives in
 ``tests/oracles.py``, outside the package.
+
+The exports below load their module on first access, so ``import nvsense``
+loads no numpy; that lets the CLI set numpy's BLAS threading first.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .depth import DepthDataset, DepthFit, ProtonBathModel, fit_depth
-from .grape import GrapeProblem, Waveform, optimize, rotation_target
-from .noisespec import NoiseSpectrum, fit_lorentzian, reconstruct_spectrum
-from .protocol import ProtocolConfig, nv3_config, run_experiment
-from .sensitivity import (
-    SensitivityBudget,
-    erl_compute,
-    eta_from_budget,
-    fit_fringe,
-    sensitivity_from_timeseries,
-)
-from .sequences import CoherenceCurve, DDSequence
+# exported name -> the module that defines it (PEP 562 ``__getattr__`` below)
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "depth": "DepthDataset DepthFit ProtonBathModel fit_depth",
+        "grape": "GrapeProblem Waveform optimize rotation_target",
+        "noisespec": "NoiseSpectrum fit_lorentzian reconstruct_spectrum",
+        "protocol": "ProtocolConfig nv3_config run_experiment",
+        "sensitivity": "SensitivityBudget erl_compute eta_from_budget fit_fringe "
+        "sensitivity_from_timeseries",
+        "sequences": "CoherenceCurve DDSequence",
+    }.items()
+    for name in names.split()
+}
 
-__all__ = [
-    "__version__",
-    "CoherenceCurve",
-    "DDSequence",
-    "DepthDataset",
-    "DepthFit",
-    "GrapeProblem",
-    "NoiseSpectrum",
-    "ProtocolConfig",
-    "ProtonBathModel",
-    "SensitivityBudget",
-    "Waveform",
-    "erl_compute",
-    "eta_from_budget",
-    "fit_depth",
-    "fit_fringe",
-    "fit_lorentzian",
-    "nv3_config",
-    "optimize",
-    "reconstruct_spectrum",
-    "rotation_target",
-    "run_experiment",
-    "sensitivity_from_timeseries",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -12,8 +12,15 @@ manifest whose command is not a list of strings or is itself a ``rerun``),
 
 import functools
 import json
+import os
 import sys
 from pathlib import Path
+
+# Before numpy loads, which is when OpenBLAS sizes its thread pool: the CLI's
+# BLAS calls (GRAPE's 2x2 products, fits of at most 4 parameters) are too small
+# to split, and idle workers of the pools numpy and scipy each load spin on the
+# CPUs. A value the user has set is kept. Library users' processes are untouched.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np
@@ -67,10 +74,12 @@ class _Run:
             version=__version__,
             config_path=self.config,
         )
+        self.last_input = None
 
     def input(self, path) -> str:
         """Record ``path`` as an input; return its text."""
         self.manifest.add_input(path)
+        self.last_input = path
         return Path(path).read_text()
 
     def text(self, name: str, text: str):
@@ -95,7 +104,8 @@ def _recorded(body):
 
     The body returns the line to echo; the manifest is written after it.
     An ``ArithmeticError`` exits 4; a ``ValueError``, ``KeyError``,
-    ``TypeError`` (a JSON input of the wrong shape) or ``OSError`` exits 3.
+    ``TypeError`` (a JSON input of the wrong shape, whose message is put
+    after the path of the input read last) or ``OSError`` exits 3.
     """
 
     @functools.wraps(body)
@@ -108,7 +118,10 @@ def _recorded(body):
             click.echo(message)
         except ArithmeticError as exc:
             _fail(EXIT_NUMERICAL, str(exc))
-        except (ValueError, KeyError, TypeError, OSError) as exc:
+        except TypeError as exc:
+            where = f"{run.last_input}: " if run.last_input else ""
+            _fail(EXIT_DATA, f"{where}{exc}")
+        except (ValueError, KeyError, OSError) as exc:
             _fail(EXIT_DATA, str(exc))
 
     return callback

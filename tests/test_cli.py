@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,21 @@ SENSE_DIGESTS = {
     "eta_vs_time.csv": "07a62391fb5275d7ac97302869996e7540f44e2d7d996b7a853162da746f5066",
     "budget.json": "3b31a3f5dbd14903d6248a86695042bbc9d0b6404f0eb1833bfba51bae979e84",
 }
+# SHA-256 of `--seed 1 grape` on SMALL_PROBLEM and of `depth` on depth_bundle;
+# the CLI's BLAS threading must change no output bit
+GRAPE_DIGESTS = {
+    "waveform.csv": "480a87b05d1b49d2fb547f787205c58668d5db5d757efe35ca80fd0be10a8446",
+    "fidelity_trace.csv": "417078d345aea3d07251d68da8f783a7429dfc3103f9cd6895483ca6bc588711",
+    "grape_summary.json": "50b107572d8bbd6f5d8980bc6be39daf51715f7ddd9ad4e87c2fb728dafe918a",
+}
+DEPTH_DIGESTS = {
+    "depth_report.json": "9fff7951f165e2a6a63ab4e0631e199a4f1cde95a91df966f6f735bb0df6ad36",
+    "depth_fit_curve.csv": "9f2d19ae452e2f6d27951b6e27069afd3236091dab012947145193b592c4b9db",
+}
+
+
+def digests(out: Path, names) -> dict:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 def run_cli(*args, check=True):
@@ -77,6 +93,44 @@ class TestBasics:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "False"
+
+    def test_package_import_leaves_numpy_out(self):
+        code = (
+            "import sys, nvsense\n"
+            "print('numpy' in sys.modules)\n"
+            "print(all(getattr(nvsense, name) is not None for name in nvsense.__all__))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["False", "True"]
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="no /proc/self/status"
+    )
+    def test_cli_runs_blas_on_one_thread_unless_set(self):
+        """Once the CLI and scipy.optimize are loaded, OPENBLAS_NUM_THREADS is 1
+        and the process has one OS thread; a value already set is kept."""
+        code = (
+            "import os, nvsense.cli, scipy.optimize\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('Threads:')))\n"
+        )
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+        def run(**env):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**base, **env},
+            )
+            return proc.stdout.split()
+
+        assert run() == ["1", "1"]
+        assert run(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
     @pytest.mark.parametrize(
         "args",
@@ -151,6 +205,7 @@ class TestDepthCommand:
         curve = (tmp_path / "depth_fit_curve.csv").read_text().splitlines()
         assert curve[0] == "tau_s,coherence_fit"
         assert len(curve) == 42
+        assert digests(tmp_path, DEPTH_DIGESTS) == DEPTH_DIGESTS
 
     def test_malformed_csv_is_data_error(self, depth_bundle, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -353,11 +408,7 @@ class TestSenseCommand:
         cfg.write_text(json.dumps({"n_shots": 30000}))
         out = tmp_path / "out"
         run_cli("--seed", 6, "--config", cfg, "--out", out, "sense")
-        digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in SENSE_DIGESTS
-        }
-        assert digests == SENSE_DIGESTS
+        assert digests(out, SENSE_DIGESTS) == SENSE_DIGESTS
 
 
 class TestGrapeCommand:
@@ -375,6 +426,7 @@ class TestGrapeCommand:
         assert len(wf) == 16
         trace = (tmp_path / "fidelity_trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,fidelity"
+        assert digests(tmp_path, GRAPE_DIGESTS) == GRAPE_DIGESTS
 
 
 def _with_nan_on_line_3(path: Path):
@@ -452,6 +504,8 @@ def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
+    if edit is None or case == "problem-angle-null":  # a TypeError names its file
+        assert bad.name in line
 
 
 @pytest.mark.parametrize(
