@@ -4,8 +4,9 @@ Subcommands: depth, noise, grape, sense, erl, gen, rerun. Every command
 honors --seed and writes a run manifest; plot outputs are plain CSV plus a
 JSON axis description. Exit codes: 0 success, 2 usage, 3 bad input data
 (``ValueError``, a missing key, an unreadable file, a JSON input that is
-not an object or holds a value of the wrong type (``TypeError``), or a
-manifest whose command is not a list of strings or is itself a ``rerun``),
+not an object, holds a value of the wrong type (``TypeError``) or holds
+NaN or an infinity (``errors.InputError``), or a manifest whose command
+is not a list of strings or is itself a ``rerun``),
 4 numerical failure (``errors.NumericalError`` or any other
 ``ArithmeticError``).
 """
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
-from .errors import as_int
+from .errors import InputError, as_int, load_json
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
@@ -104,8 +105,9 @@ def _recorded(body):
 
     The body returns the line to echo; the manifest is written after it.
     An ``ArithmeticError`` exits 4; a ``ValueError``, ``KeyError``,
-    ``TypeError`` (a JSON input of the wrong shape, whose message is put
-    after the path of the input read last) or ``OSError`` exits 3.
+    ``TypeError`` or ``OSError`` exits 3. The message of a ``TypeError``
+    or an ``InputError`` (a JSON input of the wrong shape or with a
+    non-finite number) is put after the path of the input read last.
     """
 
     @functools.wraps(body)
@@ -118,7 +120,7 @@ def _recorded(body):
             click.echo(message)
         except ArithmeticError as exc:
             _fail(EXIT_NUMERICAL, str(exc))
-        except TypeError as exc:
+        except (TypeError, InputError) as exc:
             where = f"{run.last_input}: " if run.last_input else ""
             _fail(EXIT_DATA, f"{where}{exc}")
         except (ValueError, KeyError, OSError) as exc:
@@ -214,6 +216,7 @@ def depth(run, dataset_csv, sidecar_json):
 @_recorded
 def noise(run, curves_dir, t1, l_eff):
     """Invert coherence-decay curves into a noise spectrum."""
+    erl_line = erl_noise_line(l_eff)  # refuses a bad --l-eff before any output
     points = []
     csvs = sorted(Path(curves_dir).glob("*.csv"))
     if not csvs:
@@ -223,6 +226,8 @@ def noise(run, curves_dir, t1, l_eff):
         if not sidecar_path.exists():
             raise ValueError(f"missing sidecar for {csv_path.name}")
         curve = CoherenceCurve.from_csv(run.input(csv_path), run.input(sidecar_path))
+        if curve.n_pulses == 0:
+            raise ValueError(f"{sidecar_path}: a curve with N = 0 has no passband")
         if t1 is not None:
             curve = deduct_t1(curve, t1)
         for t, c in zip(curve.times, curve.coherence):
@@ -238,7 +243,7 @@ def noise(run, curves_dir, t1, l_eff):
     floor = float(np.min(spec.s[spec.s > 0]))
     comparison = {
         "l_eff_m": l_eff,
-        "erl_noise_line_t2_per_hz": erl_noise_line(l_eff),
+        "erl_noise_line_t2_per_hz": erl_line,
         "spectrum_floor_t2_per_hz": floor,
         "db_below_erl_line": db_below_erl(floor, l_eff),
         "iterations": info["iterations"],
@@ -256,7 +261,7 @@ def noise(run, curves_dir, t1, l_eff):
 @_recorded
 def grape(run, problem_json):
     """Optimize a shaped control pulse for a rotation target."""
-    spec = json.loads(run.input(problem_json))
+    spec = load_json(run.input(problem_json))
     angle = float(spec["angle_deg"]) * np.pi / 180.0
     problem = GrapeProblem(
         target=rotation_target(angle, spec.get("axis", "x")),
@@ -292,7 +297,7 @@ def grape(run, problem_json):
 def sense(run):
     """Simulate a magnetometry run: fringe, sensitivity curve, budget."""
     # ``{**...}`` makes a config that is not a JSON object a TypeError
-    cfg = {**json.loads(run.input(run.config))} if run.config else {}
+    cfg = {**load_json(run.input(run.config))} if run.config else {}
     config = nv3_config()
     signal = float(cfg.get("signal_t", 1e-9))
     n_shots = as_int(cfg.get("n_shots", 120000), "n_shots")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
-from .errors import NumericalError, as_int, least_squares
+from .errors import NumericalError, as_int, least_squares, load_json
 from .tables import read_table, write_table
 
 # proton number densities (m^-3)
@@ -157,7 +157,7 @@ class DepthDataset:
     @classmethod
     def from_csv(cls, text: str, sidecar: str) -> "DepthDataset":
         t, c, s = read_table(text, _DATASET_HEADER)
-        meta = json.loads(sidecar)
+        meta = load_json(sidecar)
         return cls(
             t,
             c,

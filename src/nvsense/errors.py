@@ -4,9 +4,10 @@ Malformed or out-of-range input raises the built-in ``ValueError`` (the
 CLI exits 3). A fit or numerical method that cannot return a number it can
 defend raises ``NumericalError`` (the CLI exits 4, as for any other
 ``ArithmeticError``). Every fit goes through ``least_squares``; every JSON
-count through ``as_int``.
+input through ``load_json``, and every JSON count through ``as_int``.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -15,6 +16,20 @@ import numpy as np
 class NumericalError(ArithmeticError):
     """A fit is degenerate, ambiguous or unconverged, or a computation lost
     the accuracy its result needs."""
+
+
+class InputError(ValueError):
+    """Input text that its format does not allow; the CLI names the file."""
+
+
+def _refuse_constant(name: str):
+    raise InputError(f"{name} is not a finite number")
+
+
+def load_json(text: str):
+    """The value of a JSON input. NaN, Infinity and -Infinity, which Python's
+    parser takes but JSON has no place for, raise ``InputError``."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def as_int(value, field: str) -> int:

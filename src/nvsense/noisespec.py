@@ -5,14 +5,15 @@ train with passband omega_0 = pi N / T gives the zeroth-order quantity
 
     S0(omega_0) = -2 ln C(T) / (gamma_e^2 T)
 
-which mixes the spectrum at omega_0 with its odd harmonics. The iterative
-refinement
+which mixes the spectrum at omega_0 with its odd harmonics. Starting from
+S_0 = pi^2/8 * S0, ``n`` passes of the refinement (one suffices in
+practice; all ``n`` run, with no early stop)
 
     S_n(omega_0) = pi^2/8 * S0(omega_0) - sum_{k>=1} S_{n-1}((2k+1) omega_0) / (2k+1)^2
 
-converges quickly (one iteration suffices in practice). Harmonics beyond
-the measured grid are extrapolated with a power-law tail fitted to the top
-decade, since Lorentzian-like tails dominate the corrections there.
+take the harmonics out. Harmonics beyond the measured grid are
+extrapolated with a power-law tail fitted to the top decade, since
+Lorentzian-like tails dominate the corrections there.
 """
 
 import json
@@ -24,7 +25,8 @@ import numpy as np
 from .constants import GAMMA_E, HBAR, MU_0
 from .errors import NumericalError, least_squares
 
-ITERATION_RTOL = 1e-3
+# odd harmonics 3, 5, ..., 2 K_MAX + 1 in each band's correction
+K_MAX = 2000
 
 
 @dataclass
@@ -58,23 +60,18 @@ class NoiseSpectrum:
     def evaluate(self, w) -> np.ndarray:
         """Interpolate (log-log) within the grid, power-law tail outside."""
         w = np.asarray(w, dtype=float)
-        scalar = w.ndim == 0
-        w1 = np.atleast_1d(w).copy()
-        out = np.empty_like(w1)
-        logw = np.log(np.clip(w1, 1e-300, None))
+        out = np.empty_like(w)
+        logw = np.log(np.clip(w, 1e-300, None))
         logs = np.log(np.clip(self.s, 1e-300, None))
-        inside = (w1 >= self.omega[0]) & (w1 <= self.omega[-1])
-        out[inside] = np.exp(
-            np.interp(logw[inside], np.log(self.omega), logs)
-        )
-        below = w1 < self.omega[0]
-        out[below] = self.s[0]
-        above = w1 > self.omega[-1]
+        inside = (w >= self.omega[0]) & (w <= self.omega[-1])
+        out[inside] = np.exp(np.interp(logw[inside], np.log(self.omega), logs))
+        out[w < self.omega[0]] = self.s[0]
+        above = w > self.omega[-1]
         if np.any(above):
             p = self._tail_exponent()
-            out[above] = self.s[-1] * (w1[above] / self.omega[-1]) ** p
+            out[above] = self.s[-1] * (w[above] / self.omega[-1]) ** p
         out[out < 1e-300] = 0.0
-        return out[0] if scalar else out
+        return out[()]  # a scalar for a scalar ``w``
 
 
 def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
@@ -90,27 +87,22 @@ def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
     return float(seq.omega0), float(s0)
 
 
-def spectrum_iterate(
-    s_prev: NoiseSpectrum | None,
-    omega0: np.ndarray,
-    s0: np.ndarray,
-    n: int = 1,
-    k_max: int = 2000,
-):
-    """Refine the zeroth-order values with the odd-harmonic deconvolution.
+def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = 1):
+    """Refine the zeroth-order values with ``n`` passes of the odd-harmonic
+    deconvolution, starting from pi^2/8 * S0.
 
-    ``omega0``/``s0`` are the measured passband centers and S0 values;
-    ``s_prev`` seeds the harmonic correction (None starts from the
-    single-harmonic estimate pi^2/8 * S0). Runs ``n`` iterations, stopping
-    early once the maximum relative change drops below 1e-3.
-
-    Returns (NoiseSpectrum, info) with info flagging harmonics that fell
-    outside the measured grid.
+    ``omega0``/``s0`` are the measured passband centers and S0 values.
+    Returns (NoiseSpectrum, info); info holds the passes run and flags
+    that the top band's harmonics were extrapolated past the grid.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     omega0 = np.asarray(omega0, dtype=float)
     s0 = np.asarray(s0, dtype=float)
     order = np.argsort(omega0)
     omega0, s0 = omega0[order], s0[order]
+    if not omega0[0] > 0:
+        raise ValueError("passband centers must be > 0")
     # sequences with different N can probe the same passband; average them
     keep_w, keep_s = [omega0[0]], [[s0[0]]]
     for w, s in zip(omega0[1:], s0[1:]):
@@ -120,31 +112,17 @@ def spectrum_iterate(
             keep_w.append(w)
             keep_s.append([s])
     omega0 = np.array(keep_w)
-    s0 = np.array([np.mean(vals) for vals in keep_s])
-    if s_prev is None:
-        s_prev = NoiseSpectrum(omega0, np.pi**2 / 8 * s0)
+    naive = np.pi**2 / 8 * np.array([np.mean(vals) for vals in keep_s])
 
-    k = np.arange(1, k_max + 1)
-    factors = 1.0 / (2 * k + 1) ** 2
-    extrapolated = bool(omega0[-1] * 3 > s_prev.omega[-1])
-    info = {"iterations": 0, "converged": False, "extrapolated": extrapolated}
-    current = s_prev
-    for it in range(max(1, n)):
-        new = np.empty_like(s0)
-        for i, w0 in enumerate(omega0):
-            harm = (2 * k + 1) * w0
-            corr = float(np.sum(current.evaluate(harm) * factors))
-            new[i] = np.pi**2 / 8 * s0[i] - corr
-        new = np.clip(new, 0.0, None)
-        prev_vals = current.evaluate(omega0)
-        denom = np.where(prev_vals > 0, prev_vals, 1.0)
-        change = float(np.max(np.abs(new - prev_vals) / denom))
-        current = NoiseSpectrum(omega0, new)
-        info["iterations"] = it + 1
-        if change <= ITERATION_RTOL:
-            info["converged"] = True
-            break
-    return current, info
+    odd = 2 * np.arange(1, K_MAX + 1) + 1
+    harmonics = np.outer(omega0, odd)  # (bands, K_MAX)
+    factors = 1.0 / odd**2
+    current = NoiseSpectrum(omega0, naive)
+    for _ in range(n):
+        corr = np.sum(current.evaluate(harmonics) * factors, axis=1)
+        current = NoiseSpectrum(omega0, np.clip(naive - corr, 0.0, None))
+    # the harmonics of the top band always lie past the grid
+    return current, {"iterations": n, "extrapolated": True}
 
 
 def reconstruct_spectrum(points, n: int = 1):
@@ -159,7 +137,7 @@ def reconstruct_spectrum(points, n: int = 1):
         s0.append(s)
     if not omega0:
         raise ValueError("need at least one coherence point")
-    return spectrum_iterate(None, np.array(omega0), np.array(s0), n=n)
+    return spectrum_iterate(np.array(omega0), np.array(s0), n=n)
 
 
 def deduct_t1(curve, t1: float):
@@ -237,8 +215,8 @@ def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
 
 def erl_noise_line(l_eff: float) -> float:
     """Noise level implied by the energy resolution limit: 2 mu0 hbar / (e l^3)."""
-    if l_eff <= 0:
-        raise ValueError("l_eff must be > 0")
+    if not 0 < l_eff < math.inf:  # NaN fails this too
+        raise ValueError(f"l_eff must be > 0 and finite, got {l_eff}")
     return 2.0 * MU_0 * HBAR / (math.e * l_eff**3)
 
 

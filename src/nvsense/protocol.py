@@ -136,46 +136,6 @@ class ReadoutChainModel:
             0.5 * self.n_cycles * (self.mean_photons_one + self.mean_photons_zero)
         )
 
-    def assignment_fidelity(self) -> float:
-        """Deterministic aggregate fidelity of the summed-count classifier.
-
-        Marginalizes over the cycle of the first nuclear flip; cycles after
-        the flip are assigned the mean photon rate of a chain relaxing
-        toward the depolarized mixture, so the fidelity tends to 1/2 (not
-        zero) when flip_probability * n_cycles >> 1. Poisson tail masses
-        are evaluated on both sides of the threshold.
-        """
-        from scipy.special import pdtr, pdtrc
-
-        n = self.n_cycles
-        if n == 0:
-            return 0.5
-        q = self.flip_probability
-        thr = self.classification_threshold()
-        one, zero = self.mean_photons_one, self.mean_photons_zero
-        mix = 0.5 * (one + zero)
-        # first flip after cycle k (k cycles in the initial state)
-        k = np.arange(n + 1)
-        if q > 0:
-            w = q * (1 - q) ** k[:-1]
-            w = np.append(w, (1 - q) ** n)  # no flip within the chain
-        else:
-            w = np.zeros(n + 1)
-            w[-1] = 1.0
-        # mean polarization retained over the m cycles after a flip
-        m = n - k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(
-                (q > 0) & (m > 0), (1.0 - np.exp(-2 * q * m)) / (2 * q * m), 1.0
-            )
-        lam_hi = k * one + m * (mix + (zero - mix) * g)
-        lam_lo = k * zero + m * (mix + (one - mix) * g)
-        # Poisson P(X > thr) and P(X <= thr); counts are integers
-        k_thr = math.floor(thr)
-        p_correct_1 = float(np.sum(w * pdtrc(k_thr, lam_hi)))
-        p_correct_0 = float(np.sum(w * pdtr(k_thr, lam_lo)))
-        return 0.5 * (p_correct_1 + p_correct_0)
-
 
 def _readout_photons(model: ReadoutChainModel, rng, states: np.ndarray):
     """Summed photon counts for a batch of shots with given initial nuclear
@@ -346,17 +306,12 @@ def run_experiment(
         m = sl.stop - sl.start
         return sl, _experiment_batch(config, signal * signs[sl], rng, m)
 
-    batches = _batches(n_shots, seed)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_batch, batches))
-    else:
-        results = map(one_batch, batches)
-    for sl, (cycles, pho) in results:
-        init_cycles[sl] = cycles
-        photons[sl] = pho
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for sl, (cycles, pho) in pool.map(one_batch, _batches(n_shots, seed)):
+            init_cycles[sl] = cycles
+            photons[sl] = pho
     return ExperimentRun(
         seed=seed,
         config=config.descriptor(),

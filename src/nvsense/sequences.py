@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E
-from .errors import as_int
+from .errors import as_int, load_json
 from .tables import read_table, write_table
 
 _BASE_BLOCK = {"CPMG": 1, "XY8": 8, "XY16": 16, "RAMSEY": 0}
@@ -58,51 +58,27 @@ class DDSequence:
         return {"family": self.family, "n_pulses": self.n_pulses}
 
 
-@dataclass(frozen=True)
-class FilterFunction:
-    """Delta-comb filter: weights at odd harmonics of ``omega0``."""
-
-    omega0: float
-    weights: np.ndarray  # weight of the delta at (2k+1) * omega0
-
-    def harmonics(self) -> np.ndarray:
-        k = np.arange(len(self.weights))
-        return (2 * k + 1) * self.omega0
-
-
-def filter_delta_comb(seq: DDSequence, k_max: int) -> FilterFunction:
-    """Delta-comb approximation 2 pi T * (4/pi^2) / (2k+1)^2, k = 0..k_max."""
+def filter_delta_comb(seq: DDSequence, k_max: int):
+    """Delta-comb approximation: the odd harmonics (2k+1) omega_0 and their
+    weights 2 pi T * (4/pi^2) / (2k+1)^2, k = 0..k_max, as two arrays."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    k = np.arange(k_max + 1)
-    weights = 2 * np.pi * seq.total_time * (4 / np.pi**2) / (2 * k + 1) ** 2
-    return FilterFunction(seq.omega0, weights)
+    odd = 2 * np.arange(k_max + 1) + 1
+    return odd * seq.omega0, 2 * np.pi * seq.total_time * (4 / np.pi**2) / odd**2
 
 
-def _spectrum_callable(spectrum):
-    if callable(spectrum):
-        return spectrum
-    return spectrum.evaluate
-
-
-def coherence_from_spectrum(
-    spectrum,
-    seq: DDSequence,
-    gamma=GAMMA_E,
-    k_max: int = 200,
-) -> float:
+def coherence_from_spectrum(spectrum, seq: DDSequence, k_max: int = 200) -> float:
     """Coherence C = exp(-dphi^2/2) from a one-sided noise spectrum.
 
-    ``spectrum`` is a NoiseSpectrum or any callable S(omega) in T^2/Hz;
-    the comb calls it once on the array of harmonics, so it must accept
-    arrays (every bundled spectrum does).
+    ``spectrum`` is a callable S(omega) in T^2/Hz; the comb calls it once
+    on the array of harmonics, so it must accept arrays (every bundled
+    spectrum does). A NoiseSpectrum passes as its ``evaluate``.
     """
-    s = _spectrum_callable(spectrum)
-    ff = filter_delta_comb(seq, k_max)
-    vals = np.asarray(s(ff.harmonics()), dtype=float)
+    harmonics, weights = filter_delta_comb(seq, k_max)
+    vals = np.asarray(spectrum(harmonics), dtype=float)
     if np.any(vals < 0):
         raise ValueError("spectrum must be nonnegative")
-    dphi2 = gamma**2 / np.pi * float(np.sum(ff.weights * vals))
+    dphi2 = GAMMA_E**2 / np.pi * float(np.sum(weights * vals))
     return float(np.exp(-dphi2 / 2.0))
 
 
@@ -143,7 +119,7 @@ class CoherenceCurve:
         t, c, s = read_table(text, _CURVE_HEADER)
         family, n = "XY16", 0
         if sidecar:
-            meta = json.loads(sidecar)
+            meta = load_json(sidecar)
             family, n = meta["family"], as_int(meta["N"], "N")
         return cls(t, c, s, family=family, n_pulses=n)
 

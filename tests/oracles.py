@@ -12,11 +12,16 @@ comb, and these slower, more direct forms check them.
 - ``charge_init_batch`` and ``readout_photons``: the protocol's batch kernels
   as full-length masked loops, the reference for the compacted kernels that
   must draw the same random numbers in the same order.
+- ``assignment_fidelity``: the repetitive readout's fidelity in closed form,
+  the reference for the readout Monte Carlo.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import pdtr, pdtrc
 
 from nvsense.constants import GAMMA_E
 
@@ -149,3 +154,43 @@ def readout_photons(model, rng, states):
             remaining = pos < n
     lam = n_one * model.mean_photons_one + (n - n_one) * model.mean_photons_zero
     return rng.poisson(lam)
+
+
+def assignment_fidelity(model) -> float:
+    """Deterministic aggregate fidelity of the summed-count classifier of a
+    ``ReadoutChainModel``.
+
+    Marginalizes over the cycle of the first nuclear flip; cycles after
+    the flip are assigned the mean photon rate of a chain relaxing
+    toward the depolarized mixture, so the fidelity tends to 1/2 (not
+    zero) when flip_probability * n_cycles >> 1. Poisson tail masses
+    are evaluated on both sides of the threshold.
+    """
+    n = model.n_cycles
+    if n == 0:
+        return 0.5
+    q = model.flip_probability
+    thr = model.classification_threshold()
+    one, zero = model.mean_photons_one, model.mean_photons_zero
+    mix = 0.5 * (one + zero)
+    # first flip after cycle k (k cycles in the initial state)
+    k = np.arange(n + 1)
+    if q > 0:
+        w = q * (1 - q) ** k[:-1]
+        w = np.append(w, (1 - q) ** n)  # no flip within the chain
+    else:
+        w = np.zeros(n + 1)
+        w[-1] = 1.0
+    # mean polarization retained over the m cycles after a flip
+    m = n - k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(
+            (q > 0) & (m > 0), (1.0 - np.exp(-2 * q * m)) / (2 * q * m), 1.0
+        )
+    lam_hi = k * one + m * (mix + (zero - mix) * g)
+    lam_lo = k * zero + m * (mix + (one - mix) * g)
+    # Poisson P(X > thr) and P(X <= thr); counts are integers
+    k_thr = math.floor(thr)
+    p_correct_1 = float(np.sum(w * pdtrc(k_thr, lam_hi)))
+    p_correct_0 = float(np.sum(w * pdtr(k_thr, lam_lo)))
+    return 0.5 * (p_correct_1 + p_correct_0)

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 CLI = [sys.executable, "-m", "nvsense"]
+ROOT = Path(__file__).resolve().parent.parent
 SMALL_PROBLEM = {
     "angle_deg": 90,
     "axis": "y",
@@ -36,6 +39,22 @@ GRAPE_DIGESTS = {
 DEPTH_DIGESTS = {
     "depth_report.json": "9fff7951f165e2a6a63ab4e0631e199a4f1cde95a91df966f6f735bb0df6ad36",
     "depth_fit_curve.csv": "9f2d19ae452e2f6d27951b6e27069afd3236091dab012947145193b592c4b9db",
+}
+# SHA-256 of `--seed 0 gen noise` (noise_bundle) and of `noise` on it; a
+# rewrite of the comb or of the inversion must change no output bit
+NOISE_DIGESTS = {
+    "gen noise": {
+        "coherence_n16.csv": "98962b56a8556e89b2a99e66df2fce8e5b5385d1d128942e7c57c9aa1bfeaaba",
+        "coherence_n64.csv": "f9872722eaf009598b9d24d8c13d454ea8a421eae303919e00303824bc0108db",
+        "coherence_n128.csv": "7f357131ed4e41e2553005f15501f47fa38ac88a0219a12b1e61ceb5063bcfce",
+        "coherence_n512.csv": "bef151c1a7486c39ebf46837cca7893adf321382c8799842808cb2fcb17b767b",
+    },
+    "noise": {
+        "spectrum.csv": "fdddf59f92df64f418ace39751c43761696679dd2bfbafff530b257439302787",
+        "spectrum.axes.json": "5d5efc0d7167b7c706b4eef09482786fbcf05afb9af2d568659e752075c1c21e",
+        "lorentzian.json": "c675a6120a65b82b31c001804d1661bbf15d10091ac2d5d6a85f4ff331614ae1",
+        "erl_comparison.json": "7b6039d20cd2ed2cabe9b9c947dd3544934571609f4f6fbe977b50e6d1c11ce1",
+    },
 }
 
 
@@ -85,6 +104,21 @@ class TestBasics:
         proc = run_cli("--threads", 0, "--out", tmp_path, "erl", check=False)
         assert proc.returncode == 2
         assert "--threads" in proc.stderr
+
+    def test_traced_layers_resolve(self):
+        """Every (module, attribute) the benchmark tracer wraps by name exists,
+        so a deletion in the package cannot silently break a traced run."""
+        spec = importlib.util.spec_from_file_location(
+            "clibench_tracer", ROOT / "clibench" / "tracer.py"
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for module, attr in tracer.TARGETS:
+            owner = importlib.import_module(f"nvsense.{module}")
+            for name in attr.split("."):
+                owner = getattr(owner, name)
+            assert callable(owner), f"{module}.{attr}"
 
     @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy"])
     def test_import_leaves_module_out(self, module):
@@ -189,6 +223,7 @@ class TestGen:
         ]
         for p in noise_bundle.glob("coherence_*.csv"):
             assert p.with_suffix(".json").exists()
+        assert digests(noise_bundle, NOISE_DIGESTS["gen noise"]) == NOISE_DIGESTS["gen noise"]
 
 
 class TestDepthCommand:
@@ -308,6 +343,7 @@ class TestNoiseCommand:
         assert comparison["db_below_erl_line"] == pytest.approx(21.6, abs=3.0)
         lor = json.loads((tmp_path / "lorentzian.json").read_text())
         assert lor["s_max_t2_per_hz"] > 0
+        assert digests(tmp_path, NOISE_DIGESTS["noise"]) == NOISE_DIGESTS["noise"]
 
     def test_t1_too_short_is_data_error(self, noise_bundle, tmp_path):
         proc = run_cli(
@@ -323,6 +359,32 @@ class TestNoiseCommand:
         empty.mkdir()
         proc = run_cli("--out", tmp_path, "noise", empty, check=False)
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("l_eff", ["nan", "inf", "-1e-9"])
+    def test_unusable_l_eff_is_data_error(self, l_eff, noise_bundle, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli(
+            "--out", out, "noise", noise_bundle, "--l-eff", l_eff, check=False
+        )
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: l_eff must be > 0 and finite")
+        assert list(out.iterdir()) == []  # refused before any output
+
+    @pytest.mark.parametrize("others", [True, False], ids=["mixed", "ramsey-only"])
+    def test_curve_without_passband_is_data_error(self, others, noise_bundle, tmp_path):
+        """A RAMSEY curve (N = 0, passband at omega = 0) exits 3 naming its sidecar."""
+        curves = tmp_path / "curves"
+        if others:
+            shutil.copytree(noise_bundle, curves)
+        else:
+            curves.mkdir()
+        shutil.copy(noise_bundle / "coherence_n16.csv", curves / "ramsey.csv")
+        (curves / "ramsey.json").write_text(json.dumps({"family": "RAMSEY", "N": 0}))
+        proc = run_cli("--out", tmp_path / "out", "noise", curves, check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert "ramsey.json" in line and "no passband" in line
 
 
 class TestErlCommand:
@@ -464,27 +526,35 @@ def test_nan_field_is_data_error(command, depth_bundle, noise_bundle, tmp_path):
     assert "line 3: " in proc.stderr and "is not a finite number: 'nan'" in proc.stderr
 
 
-# the field each case replaces in a valid input; None writes a JSON list
+# the field each case replaces in a valid input; None writes a JSON list, and
+# a non-finite float is written as Python's NaN, Infinity or -Infinity
 JSON_EDITS = {
     "config-list": None,
     "config-n-shots-fractional": {"n_shots": 20000.5},
+    "config-signal-nan": {"signal_t": math.nan},
+    "config-signal-inf": {"signal_t": math.inf},
     "problem-list": None,
     "problem-angle-null": {"angle_deg": None},
     "problem-n-pieces-fractional": {"n_pieces": 10.9},
     "problem-axis-z": {"axis": "z"},
+    "problem-piece-duration-nan": {"piece_duration_s": math.nan},
+    "problem-max-rabi-nan": {"max_rabi_hz": math.nan},
     "depth-sidecar-list": None,
     "depth-sidecar-n-null": {"N": None},
     "depth-sidecar-n-fractional": {"N": 4096.9},
+    "depth-sidecar-b0-inf": {"b0_tesla": -math.inf},
     "coherence-sidecar-list": None,
     "coherence-sidecar-n-fractional": {"N": 16.5},
+    "coherence-sidecar-n-nan": {"N": math.nan},
 }
+NON_FINITE = ("-nan", "-inf")
 
 
 @pytest.mark.parametrize("case", JSON_EDITS)
 def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path):
     """A JSON input that is not an object, holds a value of the wrong type,
-    a count that is not a whole number or an unknown rotation axis exits 3
-    with one error line."""
+    a non-finite number, a count that is not a whole number or an unknown
+    rotation axis exits 3 with one error line."""
     bad = tmp_path / "bad.json"
     if case.startswith("config"):
         valid, args = SMALL_SENSE, ["--config", bad, "sense"]
@@ -504,8 +574,11 @@ def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
-    if edit is None or case == "problem-angle-null":  # a TypeError names its file
+    # a TypeError and a non-finite number name their file
+    if edit is None or case == "problem-angle-null" or case.endswith(NON_FINITE):
         assert bad.name in line
+    if case.endswith(NON_FINITE):
+        assert "is not a finite number" in line
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from nvsense.sensitivity import (
     sensitivity_from_timeseries,
 )
 from nvsense.sequences import DDSequence
-from oracles import charge_init_batch, readout_photons
+from oracles import assignment_fidelity, charge_init_batch, readout_photons
 
 KERNEL_SEEDS = (0, 1, 7, 6001)
 
@@ -135,32 +135,30 @@ class TestReadoutChain:
         assert 0.5 * (f1 + f0) == pytest.approx(0.84, abs=0.02)
 
     def test_analytic_fidelity_in_open_interval(self):
-        f = ReadoutChainModel().assignment_fidelity()
+        f = assignment_fidelity(ReadoutChainModel())
         assert 0.5 < f < 1.0
 
     def test_analytic_matches_monte_carlo_at_low_flip_rate(self):
         model = ReadoutChainModel(flip_probability=2e-5)
         f1, _ = simulate_repetitive_readout(model, 1, 40000, seed=4)
         f0, _ = simulate_repetitive_readout(model, 0, 40000, seed=5)
-        assert model.assignment_fidelity() == pytest.approx(
+        assert assignment_fidelity(model) == pytest.approx(
             0.5 * (f1 + f0), abs=0.01
         )
 
     def test_zero_cycles_coin_flip(self):
         model = ReadoutChainModel(n_cycles=0)
-        assert model.assignment_fidelity() == 0.5
+        assert assignment_fidelity(model) == 0.5
         f, _ = simulate_repetitive_readout(model, 1, 1000, seed=6)
         assert f == 0.5
 
     def test_no_flips_fidelity_approaches_one(self):
         model = ReadoutChainModel(flip_probability=0.0, n_cycles=20000)
-        assert model.assignment_fidelity() > 0.999
+        assert assignment_fidelity(model) > 0.999
 
     def test_monotone_in_cycles_without_flips(self):
         fids = [
-            ReadoutChainModel(
-                flip_probability=0.0, n_cycles=n
-            ).assignment_fidelity()
+            assignment_fidelity(ReadoutChainModel(flip_probability=0.0, n_cycles=n))
             for n in (100, 500, 1000, 2500, 5000)
         ]
         assert all(b >= a for a, b in zip(fids, fids[1:]))
@@ -168,9 +166,9 @@ class TestReadoutChain:
     def test_interior_optimum_with_flips(self):
         ns = np.array([20, 50, 200, 1000, 2500, 6000, 15000])
         fids = [
-            ReadoutChainModel(
-                flip_probability=1e-3, n_cycles=int(n)
-            ).assignment_fidelity()
+            assignment_fidelity(
+                ReadoutChainModel(flip_probability=1e-3, n_cycles=int(n))
+            )
             for n in ns
         ]
         peak = int(np.argmax(fids))

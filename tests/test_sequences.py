@@ -33,14 +33,16 @@ class TestDDSequence:
 
 class TestFilterComb:
     def test_weight_ratio(self):
-        ff = filter_delta_comb(DDSequence("CPMG", 4, 1e-3), k_max=2)
-        assert ff.weights[1] / ff.weights[0] == pytest.approx(1 / 9)
+        seq = DDSequence("CPMG", 4, 1e-3)
+        harmonics, weights = filter_delta_comb(seq, k_max=2)
+        np.testing.assert_allclose(harmonics, np.array([1, 3, 5]) * seq.omega0)
+        assert weights[1] / weights[0] == pytest.approx(1 / 9)
 
     def test_basel_sum(self):
         # sum over odd harmonics of (8/pi^2) / (2k+1)^2 -> 1
         seq = DDSequence("CPMG", 4, 1e-3)
-        ff = filter_delta_comb(seq, k_max=10_000)
-        total = np.sum(ff.weights) * (8 / np.pi**2) / (
+        _, weights = filter_delta_comb(seq, k_max=10_000)
+        total = np.sum(weights) * (8 / np.pi**2) / (
             2 * np.pi * seq.total_time * 4 / np.pi**2
         )
         assert total == pytest.approx(1.0, abs=1e-3)
