@@ -1,20 +1,23 @@
 """Command-line interface.
 
-Subcommands: depth, noise, grape, sense, erl, gen, rerun. Every command
-honors --seed and writes a run manifest; plot outputs are plain CSV plus a
-JSON axis description. Exit codes: 0 success, 2 usage, 3 bad input data
-(``ValueError``, a missing key, an unreadable file, a JSON input that is
-not an object, holds a value of the wrong type (``TypeError``) or holds
-NaN or an infinity (``errors.InputError``), or a manifest whose command
-is not a list of strings or is itself a ``rerun``),
-4 numerical failure (``errors.NumericalError`` or any other
-``ArithmeticError``).
+Subcommands: depth, noise, grape, sense, erl, gen, rerun. ``main`` builds
+one ``_Run`` from the global options and every command receives it; the
+run writes a manifest of its inputs and outputs, unless ``rerun`` is
+replaying a recorded one. Plot outputs are plain CSV plus a JSON axis
+description. Exit codes: 0 success, 2 usage (such as a --seed outside
+[0, 2**63 - 1]), 3 bad input data (``ValueError``, an unreadable file, a
+JSON input that does not parse, lacks a key, is not an object, holds a
+value of the wrong type (``TypeError``) or holds NaN or an infinity
+(``errors.InputError``), or a manifest whose command is not a list of
+strings or is itself a ``rerun``), 4 numerical failure
+(``errors.NumericalError`` or any other ``ArithmeticError``).
 """
 
 import functools
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 # Before numpy loads, which is when OpenBLAS sizes its thread pool: the CLI's
@@ -60,22 +63,23 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+@dataclass
 class _Run:
-    """One recorded run of a command: the global options, and the manifest
-    of every input it reads and every output it writes under ``out``."""
+    """One recorded run of a command: the global options, the argv they came
+    from, and the manifest of every input it reads and every output it
+    writes under ``out``. A ``replay`` run is one that ``rerun`` invoked to
+    check a recorded manifest; it writes no manifest of its own."""
 
-    def __init__(self, ctx):
-        self.seed = ctx.obj["seed"]
-        self.threads = ctx.obj["threads"]
-        self.config = ctx.obj["config"]
-        self.out = ctx.obj["out"]
-        self.manifest = RunManifest(
-            command=list(ctx.obj["argv"]),
-            seed=self.seed,
-            version=__version__,
-            config_path=self.config,
-        )
-        self.last_input = None
+    argv: list
+    seed: int
+    out: Path
+    config: str | None
+    threads: int
+    replay: bool
+    last_input: str | None = None
+
+    def __post_init__(self):
+        self.manifest = RunManifest(self.argv, self.seed, __version__, self.config)
 
     def input(self, path) -> str:
         """Record ``path`` as an input; return its text."""
@@ -103,27 +107,28 @@ class _Run:
 def _recorded(body):
     """A command callback that runs ``body(run, **params)`` as a recorded run.
 
-    The body returns the line to echo; the manifest is written after it.
-    An ``ArithmeticError`` exits 4; a ``ValueError``, ``KeyError``,
-    ``TypeError`` or ``OSError`` exits 3. The message of a ``TypeError``
-    or an ``InputError`` (a JSON input of the wrong shape or with a
-    non-finite number) is put after the path of the input read last.
+    The body returns the line to echo; the manifest is written after it,
+    unless the run is a replay. An ``ArithmeticError`` exits 4; a
+    ``ValueError``, ``KeyError``, ``TypeError`` or ``OSError`` exits 3.
+    Every command reads its JSON input last, so a ``TypeError``, a missing
+    key, a ``JSONDecodeError`` or an ``InputError`` names that input first.
     """
 
     @functools.wraps(body)
-    @click.pass_context
-    def callback(ctx, **params):
-        run = _Run(ctx)
+    @click.pass_obj
+    def callback(run, **params):
         try:
             message = body(run, **params)
-            run.manifest.write(run.out)
+            if not run.replay:
+                (run.out / "manifest.json").write_text(run.manifest.to_json() + "\n")
             click.echo(message)
         except ArithmeticError as exc:
             _fail(EXIT_NUMERICAL, str(exc))
-        except (TypeError, InputError) as exc:
+        except (TypeError, KeyError, json.JSONDecodeError, InputError) as exc:
             where = f"{run.last_input}: " if run.last_input else ""
-            _fail(EXIT_DATA, f"{where}{exc}")
-        except (ValueError, KeyError, OSError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            _fail(EXIT_DATA, f"{where}{what}")
+        except (ValueError, OSError) as exc:
             _fail(EXIT_DATA, str(exc))
 
     return callback
@@ -138,7 +143,7 @@ class _RecordingGroup(click.Group):
 
 
 @click.group(cls=_RecordingGroup)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0, 2**63 - 1), default=0, show_default=True)
 @click.option(
     "--out",
     type=click.Path(file_okay=False, path_type=Path),
@@ -158,16 +163,11 @@ class _RecordingGroup(click.Group):
 def main(ctx, seed, out, config, threads):
     """Single-spin magnetometry toolkit: fits, simulations, benchmarks."""
     # a rerun passes the manifest it replays as ``obj``
-    if ctx.obj is not None and ctx.invoked_subcommand == "rerun":
+    replay = ctx.obj is not None
+    if replay and ctx.invoked_subcommand == "rerun":
         _fail(EXIT_DATA, f"cannot read manifest: {ctx.obj} records a rerun")
     out.mkdir(parents=True, exist_ok=True)
-    ctx.obj = {
-        "seed": seed,
-        "out": out,
-        "config": config,
-        "threads": threads,
-        "argv": ctx.meta["argv"],
-    }
+    ctx.obj = _Run(ctx.meta["argv"], seed, out, config, threads, replay)
 
 
 @main.command()
@@ -425,7 +425,7 @@ def gen_noise(run, noise, db_below):
 def rerun(manifest_json):
     """Re-execute a recorded run and verify byte-identical outputs."""
     try:
-        recorded = RunManifest.load(manifest_json)
+        recorded = RunManifest.from_json(Path(manifest_json).read_text())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(EXIT_DATA, f"cannot read manifest: {exc}")
     main.main(args=recorded.command, standalone_mode=False, obj=manifest_json)

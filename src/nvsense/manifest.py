@@ -7,7 +7,7 @@ stored, so two identical runs produce identical manifests.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -35,18 +35,7 @@ class RunManifest:
         self.outputs[str(path)] = sha256_file(path)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "seed": self.seed,
-                "version": self.version,
-                "config_path": self.config_path,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -64,15 +53,6 @@ class RunManifest:
             inputs=d.get("inputs", {}),
             outputs=d.get("outputs", {}),
         )
-
-    def write(self, out_dir) -> Path:
-        path = Path(out_dir) / "manifest.json"
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        return cls.from_json(Path(path).read_text())
 
     def verify_outputs(self) -> list[str]:
         """Paths whose current content hash differs from the recorded one."""

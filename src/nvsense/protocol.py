@@ -283,21 +283,18 @@ def run_experiment(
     signal: float,
     n_shots: int,
     seed: int,
-    chopped: bool = True,
     workers: int = 1,
 ) -> ExperimentRun:
     """Simulate ``n_shots`` of the full protocol with a chopped test field.
 
-    The applied field alternates +-signal shot by shot (or stays constant
-    with ``chopped=False``); outputs feed sensitivity_from_timeseries and
-    fit_fringe. Each fixed-size shot batch owns an independent counter-based
-    stream, so any ``workers`` count produces identical results.
+    The applied field alternates +-signal shot by shot; outputs feed
+    sensitivity_from_timeseries. Each fixed-size shot batch owns an
+    independent counter-based stream, so any ``workers`` count produces
+    identical results.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     signs = np.where(np.arange(n_shots) % 2 == 0, 1.0, -1.0)
-    if not chopped:
-        signs = np.ones(n_shots)
     init_cycles = np.empty(n_shots, dtype=np.int64)
     photons = np.empty(n_shots, dtype=np.int64)
 
@@ -348,18 +345,20 @@ def simulate_fringe(
 ):
     """Mean readout photons versus applied AWG voltage.
 
-    Returns (volts, mean counts); pair with fit_fringe to recover the
-    field-per-volt coefficient.
+    Each point runs ``shots_per_point`` shots of a constant field on the
+    calling thread, in the Philox batches ``run_experiment`` would draw for
+    seed ``seed + i``. Returns (volts, mean counts); pair with fit_fringe to
+    recover the field-per-volt coefficient.
     """
+    if shots_per_point < 1:
+        raise ValueError("shots_per_point must be >= 1")
     volts = np.asarray(volts, dtype=float)
     means = np.empty(len(volts))
     for i, v in enumerate(volts):
-        run = run_experiment(
-            config,
-            signal=config.b_v * v,
-            n_shots=shots_per_point,
-            seed=seed + i,
-            chopped=False,
-        )
-        means[i] = float(np.mean(run.photons))
+        total = 0
+        for sl, rng in _batches(shots_per_point, seed + i):
+            m = sl.stop - sl.start
+            _, photons = _experiment_batch(config, config.b_v * v, rng, m)
+            total += int(photons.sum())
+        means[i] = total / shots_per_point
     return volts, means

@@ -33,6 +33,10 @@ DEPTH_SUITE = (
     (80.3e-9, 65536, 3.0e-9),
 )
 
+# each synthetic coherence curve puts POINTS_PER_N passband centers
+# f0 = N / (2 T), log-spaced, on [F0_LO, F0_HI] Hz
+F0_LO, F0_HI, POINTS_PER_N = 40e3, 2e6, 12
+
 
 def make_depth_dataset(
     depth: float,
@@ -93,9 +97,6 @@ def nv3_floor_spectrum(db_below: float = 21.6, l_eff: float = 31.7e-9):
 def make_coherence_family(
     spectrum,
     n_list=(16, 64, 128, 512),
-    f0_lo: float = 40e3,
-    f0_hi: float = 2e6,
-    points_per_n: int = 12,
     family: str = "XY16",
     noise: float = 0.0,
     seed: int = 0,
@@ -104,13 +105,13 @@ def make_coherence_family(
     """Coherence-versus-time curves for a family of pulse trains.
 
     For each pulse number N the total times sweep the passband center
-    f0 = N / (2 T) across [f0_lo, f0_hi]. Returns a list of
+    f0 = N / (2 T) across [F0_LO, F0_HI]. Returns a list of
     CoherenceCurve, one per N.
     """
     rng = np.random.default_rng(seed)
+    f0 = np.geomspace(F0_LO, F0_HI, POINTS_PER_N)
     curves = []
     for n in n_list:
-        f0 = np.geomspace(f0_lo, f0_hi, points_per_n)
         times = np.sort(n / (2.0 * f0))
         cs = np.array(
             [

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from nvsense.manifest import RunManifest
+
 CLI = [sys.executable, "-m", "nvsense"]
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_PROBLEM = {
@@ -56,6 +58,18 @@ NOISE_DIGESTS = {
         "erl_comparison.json": "7b6039d20cd2ed2cabe9b9c947dd3544934571609f4f6fbe977b50e6d1c11ce1",
     },
 }
+
+
+# RunManifest.to_json of TestManifest's fields; the bytes of a manifest are
+# the record that rerun checks, so any change to its serializer shows here
+MANIFEST_TEXT = (
+    '{\n  "command": [\n    "--seed",\n    "3",\n    "--out",\n    "out",\n    "sense"\n  ],\n'
+    '  "config_path": "cfg.json",\n'
+    '  "inputs": {\n    "cfg.json": "' + "a" * 64 + '"\n  },\n'
+    '  "outputs": {\n    "out/budget.json": "' + "c" * 64 + '",\n'
+    '    "out/shots.csv": "' + "b" * 64 + '"\n  },\n'
+    '  "seed": 3,\n  "version": "0.1.0"\n}'
+)
 
 
 def digests(out: Path, names) -> dict:
@@ -105,9 +119,21 @@ class TestBasics:
         assert proc.returncode == 2
         assert "--threads" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "seed, args",
+        [(2**64, ["sense"]), (-1, ["gen", "depth"])],
+        ids=["above-uint64", "negative"],
+    )
+    def test_seed_out_of_range_usage_error(self, seed, args, tmp_path):
+        proc = run_cli("--seed", seed, "--out", tmp_path, *args, check=False)
+        assert proc.returncode == 2
+        assert "--seed" in proc.stderr
+
     def test_traced_layers_resolve(self):
-        """Every (module, attribute) the benchmark tracer wraps by name exists,
-        so a deletion in the package cannot silently break a traced run."""
+        """Every name the benchmark tracer wraps exists: each (module,
+        attribute) of its TARGETS, the ``add_output`` it reads from the
+        manifest class, and the callback of each CLI step, so a deletion in
+        the package cannot silently break a traced run."""
         spec = importlib.util.spec_from_file_location(
             "clibench_tracer", ROOT / "clibench" / "tracer.py"
         )
@@ -119,6 +145,14 @@ class TestBasics:
             for name in attr.split("."):
                 owner = getattr(owner, name)
             assert callable(owner), f"{module}.{attr}"
+        from nvsense.cli import gen, main
+
+        assert callable(vars(RunManifest)["add_output"])
+        steps = {name: cmd for name, cmd in main.commands.items() if cmd is not gen}
+        steps.update({f"gen_{name}": cmd for name, cmd in gen.commands.items()})
+        assert set(tracer.CLI_STEPS) <= set(steps)
+        for name, cmd in steps.items():
+            assert callable(cmd.callback), name
 
     @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy"])
     def test_import_leaves_module_out(self, module):
@@ -449,6 +483,32 @@ class TestErlCommand:
         proc = run_cli("rerun", tmp_path / "manifest.json", check=False)
         assert proc.returncode == 4
 
+    def test_rerun_leaves_tampered_manifest_as_recorded(self, tmp_path):
+        """A replayed run writes no manifest, so a failed rerun fails again."""
+        run_cli("--out", tmp_path, "erl")
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["outputs"][next(iter(manifest["outputs"]))] = "0" * 64
+        path.write_text(json.dumps(manifest))
+        tampered = path.read_bytes()
+        for _ in range(2):
+            assert run_cli("rerun", path, check=False).returncode == 4
+            assert path.read_bytes() == tampered
+
+
+class TestManifest:
+    def test_text_is_pinned_and_round_trips(self):
+        manifest = RunManifest(
+            command=["--seed", "3", "--out", "out", "sense"],
+            seed=3,
+            version="0.1.0",
+            config_path="cfg.json",
+            inputs={"cfg.json": "a" * 64},
+            outputs={"out/shots.csv": "b" * 64, "out/budget.json": "c" * 64},
+        )
+        assert manifest.to_json() == MANIFEST_TEXT
+        assert RunManifest.from_json(MANIFEST_TEXT) == manifest
+
 
 class TestSenseCommand:
     def test_small_run(self, tmp_path):
@@ -471,6 +531,13 @@ class TestSenseCommand:
         out = tmp_path / "out"
         run_cli("--seed", 6, "--config", cfg, "--out", out, "sense")
         assert digests(out, SENSE_DIGESTS) == SENSE_DIGESTS
+
+    def test_zero_shots_per_point_names_its_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_SENSE, "shots_per_point": 0}))
+        proc = run_cli("--config", cfg, "--out", tmp_path, "sense", check=False)
+        assert proc.returncode == 3
+        assert "shots_per_point must be >= 1" in proc.stderr
 
 
 class TestGrapeCommand:
@@ -526,8 +593,10 @@ def test_nan_field_is_data_error(command, depth_bundle, noise_bundle, tmp_path):
     assert "line 3: " in proc.stderr and "is not a finite number: 'nan'" in proc.stderr
 
 
-# the field each case replaces in a valid input; None writes a JSON list, and
-# a non-finite float is written as Python's NaN, Infinity or -Infinity
+# the field each case replaces in a valid input; None writes a JSON list,
+# TRUNCATED the first half of the valid text, a field set to MISSING is left
+# out, and a non-finite float is written as Python's NaN, Infinity or -Infinity
+TRUNCATED, MISSING = object(), object()
 JSON_EDITS = {
     "config-list": None,
     "config-n-shots-fractional": {"n_shots": 20000.5},
@@ -543,11 +612,18 @@ JSON_EDITS = {
     "depth-sidecar-n-null": {"N": None},
     "depth-sidecar-n-fractional": {"N": 4096.9},
     "depth-sidecar-b0-inf": {"b0_tesla": -math.inf},
+    "depth-sidecar-truncated": TRUNCATED,
+    "depth-sidecar-n-missing": {"N": MISSING},
     "coherence-sidecar-list": None,
     "coherence-sidecar-n-fractional": {"N": 16.5},
     "coherence-sidecar-n-nan": {"N": math.nan},
+    "coherence-sidecar-truncated": TRUNCATED,
+    "coherence-sidecar-n-missing": {"N": MISSING},
 }
 NON_FINITE = ("-nan", "-inf")
+# a TypeError, a non-finite number, a JSON text that does not parse and a
+# missing key put the path of their file first
+NAMES_FILE = ("-list", "angle-null", *NON_FINITE, "-truncated", "-missing")
 
 
 @pytest.mark.parametrize("case", JSON_EDITS)
@@ -569,16 +645,25 @@ def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path
         bad = curves / "coherence_n16.json"
         valid, args = json.loads(bad.read_text()), ["noise", curves]
     edit = JSON_EDITS[case]
-    bad.write_text(json.dumps([1, 2] if edit is None else {**valid, **edit}))
+    if edit is None:
+        text = json.dumps([1, 2])
+    elif edit is TRUNCATED:
+        text = json.dumps(valid)
+        text = text[: len(text) // 2]
+    else:
+        edited = {**valid, **edit}
+        text = json.dumps({k: v for k, v in edited.items() if v is not MISSING})
+    bad.write_text(text)
     proc = run_cli("--out", tmp_path / "out", *args, check=False)
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
-    # a TypeError and a non-finite number name their file
-    if edit is None or case == "problem-angle-null" or case.endswith(NON_FINITE):
-        assert bad.name in line
+    if case.endswith(NAMES_FILE):
+        assert line.startswith(f"error: {bad}: ")
     if case.endswith(NON_FINITE):
         assert "is not a finite number" in line
+    if case.endswith("missing"):
+        assert line.endswith("missing key 'N'")
 
 
 @pytest.mark.parametrize(

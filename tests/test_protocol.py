@@ -232,6 +232,15 @@ class TestFringeRoundTrip:
         fit = fit_fringe(v, counts, cfg.budget.t_c)
         assert fit.b_v == pytest.approx(cfg.b_v, rel=0.03)
 
+    def test_point_draws_the_streams_of_run_experiment(self):
+        # at zero field the chop sign does nothing, so point i of the fringe
+        # is the mean of a run_experiment on seed + i, across a batch edge
+        cfg = nv3_config()
+        n = BATCH_SIZE + 500
+        _, counts = simulate_fringe(cfg, [0.0, 0.0], shots_per_point=n, seed=5)
+        run = run_experiment(cfg, 0.0, n, seed=6)
+        assert counts[1] == np.mean(run.photons)
+
 
 class TestSensitivityRun:
     def test_eta_asymptote_and_flat_slope(self):
