@@ -198,7 +198,10 @@ class TestCriterion8ProtocolSimulator:
     def test_full_run_eta_and_flat_slope(self):
         t0 = time.monotonic()
         config = nv3_config()
-        run = run_experiment(config, 1e-9, 180000, seed=6)
+        # the length clibench judges the same bound at: over seeds 0-39 the
+        # slope's spread is 0.0125 here (0.031 at 180,000 shots), which puts
+        # the 0.05 bound 4 spreads out
+        run = run_experiment(config, 1e-9, 1_200_000, seed=6)
         times, eta, asym = sensitivity_from_timeseries(
             run.demodulated(), 1e-9, config.shot_duration
         )
