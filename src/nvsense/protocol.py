@@ -59,28 +59,46 @@ class ChargeInitResult:
     cycles_histogram: np.ndarray  # counts of cycles used, index 1..max
 
 
-def _charge_init_batch(model: ChargeReadoutModel, rng, m: int):
-    """Vectorized feedback loop for a batch of m trials.
+def _poisson_tail(k: int, mu: float) -> float:
+    """P(X >= k) for X ~ Poisson(mu), summed on the side of the mean where
+    the terms do not cancel; 0.0 where it underflows."""
 
-    Each round draws only for the trials not yet accepted, in trial order.
-    Returns (accepted mask, NV- mask at acceptance, cycles used)."""
-    is_minus = np.zeros(m, dtype=bool)
-    cycles = np.full(m, model.max_cycles, dtype=int)
-    active = np.arange(m)
-    for cyc in range(1, model.max_cycles + 1):
-        if not active.size:
-            break
-        # mixing pulse re-equilibrates the charge state of active trials
-        state = rng.random(active.size) < model.equilibrium_fraction
-        lam = np.where(state, model.mean_photons_minus, model.mean_photons_zero)
-        ok = rng.poisson(lam) >= model.threshold
-        newly = active[ok]
-        is_minus[newly] = state[ok]
-        cycles[newly] = cyc
-        active = active[~ok]
-    accepted = np.ones(m, dtype=bool)
-    accepted[active] = False
-    return accepted, is_minus, cycles
+    def pmf(j):
+        return math.exp(j * math.log(mu) - mu - math.lgamma(j + 1))
+
+    if k <= mu:
+        return 1.0 - math.fsum(map(pmf, range(k)))
+    tail, j, term = 0.0, k, pmf(k)
+    while term > tail * 1e-17:  # terms fall by mu / j < 1 from the first
+        tail += term
+        j += 1
+        term *= mu / j
+    return tail
+
+
+def _charge_init_batch(model: ChargeReadoutModel, rng, m: int):
+    """The feedback loop's outcome for a batch of m trials, drawn in closed
+    form.
+
+    Every cycle is the same independent trial: a mixing pulse leaves NV-
+    with probability f, and the readout accepts with the Poisson tail of
+    that state's photon mean. So the cycle of acceptance is
+    Geometric(p_acc), and NV- at acceptance is Bernoulli(p_minus / p_acc),
+    independent of that cycle. A trial still rejected after ``max_cycles``
+    fails. Both draws cover all m trials, so the stream position does not
+    depend on the outcomes. Returns (accepted mask, NV- mask at acceptance,
+    cycles used)."""
+    f = model.equilibrium_fraction
+    p_minus = f * _poisson_tail(model.threshold, model.mean_photons_minus)
+    p_acc = p_minus + (1 - f) * _poisson_tail(
+        model.threshold, model.mean_photons_zero
+    )
+    if p_acc == 0.0:  # no trial can ever reach the threshold
+        return np.zeros(m, bool), np.zeros(m, bool), np.full(m, model.max_cycles)
+    cycles = rng.geometric(p_acc, size=m)
+    accepted = cycles <= model.max_cycles
+    is_minus = accepted & (rng.random(m) < p_minus / p_acc)
+    return accepted, is_minus, np.minimum(cycles, model.max_cycles)
 
 
 def simulate_charge_init(
@@ -141,9 +159,8 @@ def _readout_photons(model: ReadoutChainModel, rng, states: np.ndarray):
     """Summed photon counts for a batch of shots with given initial nuclear
     states, including stochastic flips along the chain.
 
-    Every round of the flip loop draws a step for each shot of the batch,
-    so the stream does not depend on how many are left; only the shots
-    still inside the chain use theirs."""
+    Each round of the flip loop draws a geometric step to the next flip for
+    the shots still inside the chain, in shot order."""
     m = len(states)
     n = model.n_cycles
     q = model.flip_probability
@@ -155,7 +172,7 @@ def _readout_photons(model: ReadoutChainModel, rng, states: np.ndarray):
         left = np.arange(m)  # shots still inside the chain
         pos = np.zeros(m, dtype=np.int64)
         while left.size:
-            steps = np.minimum(rng.geometric(q, size=m)[left], n - pos)
+            steps = np.minimum(rng.geometric(q, size=left.size), n - pos)
             n_one[left[cur]] += steps[cur]
             pos += steps
             cur = ~cur

@@ -9,9 +9,10 @@ comb, and these slower, more direct forms check them.
   pi-pulse train, the reference for the delta comb and the depth overlap.
 - ``exact_coherence``: the coherence from quadrature of the spectrum against
   ``exact_filter``, the reference for ``coherence_from_spectrum``.
-- ``charge_init_batch`` and ``readout_photons``: the protocol's batch kernels
-  as full-length masked loops, the reference for the compacted kernels that
-  must draw the same random numbers in the same order.
+- ``charge_init_batch`` and ``readout_photons``: the feedback loop and the
+  flip chain stepped round by round over the whole batch, the reference in
+  distribution for the protocol's kernels, which draw the loop's outcome in
+  closed form and step only the shots still in the chain.
 - ``assignment_fidelity``: the repetitive readout's fidelity in closed form,
   the reference for the readout Monte Carlo.
 """

@@ -26,10 +26,10 @@ SMALL_SENSE = {"n_shots": 20000, "shots_per_point": 500, "volts": [0.0, 0.4, 15]
 # SHA-256 of `--seed 6 sense` on 30,000 shots (default fringe) with numpy 2.4's
 # Philox streams; a change to any random stream or writer shows here
 SENSE_DIGESTS = {
-    "shots.csv": "7a1ef2da5971821361303eff822973a9c5db89fd499f9ab67ad4914e96daf56a",
-    "fringe.csv": "eb1abd483b9b054e789626fa2a0b6f49304d393323c0cf8680877d305a086f04",
-    "eta_vs_time.csv": "07a62391fb5275d7ac97302869996e7540f44e2d7d996b7a853162da746f5066",
-    "budget.json": "3b31a3f5dbd14903d6248a86695042bbc9d0b6404f0eb1833bfba51bae979e84",
+    "shots.csv": "3f10211a29272515062a52637fb204ce7f251ecafb4d68b4c8f5d613a1cf7554",
+    "fringe.csv": "83bfa4f90f38eec284d68f04cb91d4f4b89930c4b8bbfe6c3cedb6b0105b9678",
+    "eta_vs_time.csv": "f1f727c11f121084f9abac16863b2cd06823a974ae918b8dfc50ec075cc30a7d",
+    "budget.json": "deac6f4d3533a06fc18ae9735284bab03cd60baa418dfa947d4e20cdacd3cee6",
 }
 # SHA-256 of `--seed 1 grape` on SMALL_PROBLEM and of `depth` on depth_bundle;
 # the CLI's BLAS threading must change no output bit
