@@ -8,8 +8,10 @@ description. Exit codes: 0 success, 2 usage (such as a --seed outside
 [0, 2**63 - 1]), 3 bad input data (``ValueError``, an unreadable file, a
 JSON input that does not parse, lacks a key, is not an object, holds a
 value of the wrong type (``TypeError``) or holds NaN or an infinity
-(``errors.InputError``), or a manifest whose command is not a list of
-strings or is itself a ``rerun``), 4 numerical failure
+(``errors.InputError``), a CSV line its table does not allow
+(``errors.TableError``), a manifest whose command is not a list of
+strings or is itself a ``rerun``, or a recorded input that is missing or
+changed), 4 numerical failure
 (``errors.NumericalError`` or any other ``ArithmeticError``).
 """
 
@@ -32,7 +34,7 @@ import numpy as np
 from . import __version__
 from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
-from .errors import InputError, as_int, load_json
+from .errors import InputError, TableError, as_int, load_json
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
@@ -77,6 +79,7 @@ class _Run:
     threads: int
     replay: bool
     last_input: str | None = None
+    last_table: str | None = None
 
     def __post_init__(self):
         self.manifest = RunManifest(self.argv, self.seed, __version__, self.config)
@@ -86,6 +89,12 @@ class _Run:
         self.manifest.add_input(path)
         self.last_input = path
         return Path(path).read_text()
+
+    def table(self, path) -> str:
+        """``input`` of a CSV table, whose line errors name ``path`` even
+        once the table's sidecar has been read too."""
+        self.last_table = path
+        return self.input(path)
 
     def text(self, name: str, text: str):
         path = self.out / name
@@ -111,7 +120,8 @@ def _recorded(body):
     unless the run is a replay. An ``ArithmeticError`` exits 4; a
     ``ValueError``, ``KeyError``, ``TypeError`` or ``OSError`` exits 3.
     Every command reads its JSON input last, so a ``TypeError``, a missing
-    key, a ``JSONDecodeError`` or an ``InputError`` names that input first.
+    key, a ``JSONDecodeError`` or an ``InputError`` names that input first;
+    a ``TableError`` names the table read last.
     """
 
     @functools.wraps(body)
@@ -125,7 +135,8 @@ def _recorded(body):
         except ArithmeticError as exc:
             _fail(EXIT_NUMERICAL, str(exc))
         except (TypeError, KeyError, json.JSONDecodeError, InputError) as exc:
-            where = f"{run.last_input}: " if run.last_input else ""
+            path = run.last_table if isinstance(exc, TableError) else run.last_input
+            where = f"{path}: " if path else ""
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             _fail(EXIT_DATA, f"{where}{what}")
         except (ValueError, OSError) as exc:
@@ -176,7 +187,7 @@ def main(ctx, seed, out, config, threads):
 @_recorded
 def depth(run, dataset_csv, sidecar_json):
     """Fit the emitter depth from a proton-NMR dip scan."""
-    data = DepthDataset.from_csv(run.input(dataset_csv), run.input(sidecar_json))
+    data = DepthDataset.from_csv(run.table(dataset_csv), run.input(sidecar_json))
     fit = fit_depth(data)
     model = ProtonBathModel(
         rho=data.rho,
@@ -225,7 +236,7 @@ def noise(run, curves_dir, t1, l_eff):
         sidecar_path = csv_path.with_suffix(".json")
         if not sidecar_path.exists():
             raise ValueError(f"missing sidecar for {csv_path.name}")
-        curve = CoherenceCurve.from_csv(run.input(csv_path), run.input(sidecar_path))
+        curve = CoherenceCurve.from_csv(run.table(csv_path), run.input(sidecar_path))
         if curve.n_pulses == 0:
             raise ValueError(f"{sidecar_path}: a curve with N = 0 has no passband")
         if t1 is not None:
@@ -356,7 +367,7 @@ def erl(run, table_csv):
     if table_csv is None:
         records = load_reference_magnetometers()
     else:
-        records = magnetometer_records_from_csv(run.input(table_csv))
+        records = magnetometer_records_from_csv(run.table(table_csv))
     report = erl_table_check(records)
     run.json(
         "erl_report.json",
@@ -423,11 +434,17 @@ def gen_noise(run, noise, db_below):
 @main.command()
 @click.argument("manifest_json", type=click.Path(exists=True, dir_okay=False))
 def rerun(manifest_json):
-    """Re-execute a recorded run and verify byte-identical outputs."""
+    """Check a recorded run's inputs, re-execute it and verify
+    byte-identical outputs."""
     try:
         recorded = RunManifest.from_json(Path(manifest_json).read_text())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(EXIT_DATA, f"cannot read manifest: {exc}")
+    # a replay over changed inputs would overwrite the outputs it checks
+    stale = recorded.verify_inputs()
+    if stale:
+        state = "changed" if Path(stale[0]).is_file() else "missing"
+        _fail(EXIT_DATA, f"{stale[0]}: recorded input is {state}")
     main.main(args=recorded.command, standalone_mode=False, obj=manifest_json)
     stale = recorded.verify_outputs()
     if stale:

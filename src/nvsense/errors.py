@@ -22,6 +22,11 @@ class InputError(ValueError):
     """Input text that its format does not allow; the CLI names the file."""
 
 
+class TableError(InputError):
+    """A CSV table line that its header does not allow; the CLI names the
+    table's file even when the table's sidecar was read after it."""
+
+
 def _refuse_constant(name: str):
     raise InputError(f"{name} is not a finite number")
 

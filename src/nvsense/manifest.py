@@ -45,19 +45,34 @@ class RunManifest:
             isinstance(arg, str) for arg in command
         ):
             raise ValueError(f"command must be a list of strings, not {command!r}")
+        files = {key: d.get(key, {}) for key in ("inputs", "outputs")}
+        for key, paths in files.items():
+            if not isinstance(paths, dict) or not all(
+                isinstance(digest, str) for digest in paths.values()
+            ):
+                raise ValueError(f"{key} must map paths to digests, not {paths!r}")
         return cls(
             command=command,
             seed=d["seed"],
             version=d["version"],
             config_path=d.get("config_path"),
-            inputs=d.get("inputs", {}),
-            outputs=d.get("outputs", {}),
+            **files,
         )
 
+    def verify_inputs(self) -> list[str]:
+        """Input paths that are missing or whose content hash differs from
+        the recorded one."""
+        return _stale(self.inputs)
+
     def verify_outputs(self) -> list[str]:
-        """Paths whose current content hash differs from the recorded one."""
-        stale = []
-        for path, digest in self.outputs.items():
-            if not Path(path).exists() or sha256_file(path) != digest:
-                stale.append(path)
-        return stale
+        """Output paths that are missing or whose content hash differs from
+        the recorded one."""
+        return _stale(self.outputs)
+
+
+def _stale(digests: dict) -> list[str]:
+    return [
+        path
+        for path, digest in digests.items()
+        if not Path(path).is_file() or sha256_file(path) != digest
+    ]

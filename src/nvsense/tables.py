@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import TableError
+
 _BLOCK_ROWS = 1 << 14
 _INT64 = range(-(2**63), 2**63)
 # 10, 100, ..., 10**19: a magnitude's digit count less one is its rank here
@@ -98,20 +100,20 @@ def read_table(text: str, header: str, text_columns=()) -> tuple:
     Columns named in ``text_columns`` are kept as stripped strings; every
     other field must parse as a finite float. Blank lines are skipped. A
     wrong header, a table without data rows, a row of the wrong width and a
-    non-numeric or non-finite number each raise ``ValueError`` naming the
-    line (counted from 1).
+    non-numeric or non-finite number each raise ``errors.TableError``, a
+    ``ValueError``, naming the line (counted from 1).
     """
     names = header.split(",")
     numeric = [k for k, name in enumerate(names) if name not in text_columns]
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1].strip() != header:
         where = f"line {lines[0][0]}" if lines else "empty table"
-        raise ValueError(f"{where}: expected the header {header!r}")
+        raise TableError(f"{where}: expected the header {header!r}")
     rows = []
     for i, line in lines[1:]:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != len(names):
-            raise ValueError(
+            raise TableError(
                 f"line {i}: {len(fields)} fields, the header has {len(names)}"
             )
         for k in numeric:
@@ -120,13 +122,13 @@ def read_table(text: str, header: str, text_columns=()) -> tuple:
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise ValueError(
+                raise TableError(
                     f"line {i}: {names[k]} is not a finite number: {fields[k]!r}"
                 )
             fields[k] = value
         rows.append(fields)
     if not rows:
-        raise ValueError(f"line {lines[0][0]}: the header has no data rows")
+        raise TableError(f"line {lines[0][0]}: the header has no data rows")
     return tuple(
         np.array(col, dtype=float if k in numeric else str)
         for k, col in enumerate(zip(*rows))

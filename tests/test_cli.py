@@ -364,6 +364,27 @@ class TestDepthCommand:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("edit", ["changed", "missing"])
+    def test_rerun_refuses_a_changed_input(self, edit, depth_bundle, tmp_path):
+        """rerun checks the recorded inputs before it replays: an edited or
+        deleted sidecar exits 3 naming it, and leaves every output as it was."""
+        scan, sidecar = tmp_path / "scan.csv", tmp_path / "scan.json"
+        shutil.copy(depth_bundle / "depth_dataset.csv", scan)
+        shutil.copy(depth_bundle / "depth_dataset.json", sidecar)
+        out = tmp_path / "out"
+        run_cli("--out", out, "depth", scan, sidecar)
+        recorded = {p.name: p.read_bytes() for p in out.iterdir()}
+        if edit == "changed":
+            meta = json.loads(sidecar.read_text())
+            sidecar.write_text(json.dumps({**meta, "b0_tesla": meta["b0_tesla"] * 1.01}))
+        else:
+            sidecar.unlink()
+        proc = run_cli("rerun", out / "manifest.json", check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line == f"error: {sidecar}: recorded input is {edit}"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == recorded
+
 
 class TestNoiseCommand:
     def test_spectrum_and_floor(self, noise_bundle, tmp_path):
@@ -472,6 +493,16 @@ class TestErlCommand:
         assert proc.returncode == 3
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: cannot read manifest: ")
+
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    def test_rerun_rejects_files_that_are_not_a_map(self, key, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = {"command": ["erl"], "seed": 0, "version": "0.1.0", key: ["x"]}
+        path.write_text(json.dumps(manifest))
+        proc = run_cli("rerun", path, check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: cannot read manifest: {key} must map")
 
     def test_rerun_detects_tampering(self, tmp_path):
         run_cli("--out", tmp_path, "erl")
@@ -664,6 +695,35 @@ def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path
         assert "is not a finite number" in line
     if case.endswith("missing"):
         assert line.endswith("missing key 'N'")
+
+
+@pytest.mark.parametrize("command", ["depth", "noise", "erl"])
+def test_csv_line_error_names_the_csv(command, depth_bundle, noise_bundle, tmp_path):
+    """A table line of the wrong width exits 3 naming the table's file, also
+    where its sidecar is read after it."""
+    if command == "depth":
+        table = tmp_path / "depth_dataset.csv"
+        shutil.copy(depth_bundle / "depth_dataset.csv", table)
+        args = ["depth", table, depth_bundle / "depth_dataset.json"]
+    elif command == "noise":
+        shutil.copytree(noise_bundle, tmp_path / "curves")
+        table = tmp_path / "curves" / "coherence_n16.csv"
+        args = ["noise", tmp_path / "curves"]
+    else:
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "kind,l_eff_m,eta_t_per_sqrt_hz,ref,e_r_hbar\n"
+            + "NV,4.0e-09,5.3e-08,1,0.5\n" * 3
+        )
+        args = ["erl", table]
+    lines = table.read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:2])
+    table.write_text("\n".join(lines) + "\n")
+    proc = run_cli("--out", tmp_path / "out", *args, check=False)
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    width = len(lines[0].split(","))
+    assert line == f"error: {table}: line 4: 2 fields, the header has {width}"
 
 
 @pytest.mark.parametrize(
