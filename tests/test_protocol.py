@@ -93,12 +93,12 @@ class TestChargeInit:
     def test_unreachable_threshold_kills_success(self):
         model = ChargeReadoutModel(threshold=50)
         res = simulate_charge_init(model, 5000, seed=3)
-        assert res.success_fraction < 0.01
+        assert res.success_fraction == 0.0
+        assert math.isnan(res.purity)
 
-    @pytest.mark.parametrize("threshold", [50, 1000])
-    def test_unreachable_threshold_accepts_nothing(self, threshold):
-        # at 1000 the acceptance probability underflows to exactly 0
-        res = simulate_charge_init(ChargeReadoutModel(threshold=threshold), 5000, seed=3)
+    def test_underflowing_acceptance_accepts_nothing(self):
+        # P(Poisson(0.5) >= 1000) is below the smallest double
+        res = simulate_charge_init(ChargeReadoutModel(threshold=1000), 5000, seed=3)
         assert res.success_fraction == 0.0
         assert math.isnan(res.purity)
 
