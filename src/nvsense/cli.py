@@ -8,10 +8,10 @@ description. Exit codes: 0 success, 2 usage (such as a --seed outside
 [0, 2**63 - 1]), 3 bad input data (``ValueError``, an unreadable file, a
 JSON input that does not parse, lacks a key, is not an object, holds a
 value of the wrong type (``TypeError``) or holds NaN or an infinity
-(``errors.InputError``), a CSV line its table does not allow
-(``errors.TableError``), a manifest whose command is not a list of
-strings or is itself a ``rerun``, or a recorded input that is missing or
-changed), 4 numerical failure
+(``errors.InputError``), a CSV line its table does not allow or a
+table value its dataset refuses (``errors.TableError``), a manifest whose
+command is not a list of strings or is itself a ``rerun``, or a recorded
+input that is missing or changed), 4 numerical failure
 (``errors.NumericalError`` or any other ``ArithmeticError``).
 """
 
@@ -53,7 +53,7 @@ from .sensitivity import (
     sensitivity_from_timeseries,
 )
 from .sequences import CoherenceCurve, DDSequence
-from .tables import write_table
+from .tables import table_blocks
 from . import synth
 
 EXIT_DATA = 3
@@ -96,9 +96,12 @@ class _Run:
         self.last_table = path
         return self.input(path)
 
-    def text(self, name: str, text: str):
+    def text(self, name: str, text):
+        """Write ``text``, a str or an iterable of str blocks, to ``name``
+        under ``out`` and record it as an output."""
         path = self.out / name
-        path.write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
         self.manifest.add_output(path)
 
     def json(self, name: str, obj):
@@ -108,7 +111,7 @@ class _Run:
         """``stem.csv`` and its axis description ``stem.axes.json``, from
         columns given as ``name=(description, values)``."""
         values = [v for _, v in columns.values()]
-        self.text(f"{stem}.csv", write_table(",".join(columns), *values))
+        self.text(f"{stem}.csv", table_blocks(",".join(columns), *values))
         axes = {name: description for name, (description, _) in columns.items()}
         self.json(f"{stem}.axes.json", {"columns": axes})
 
@@ -288,7 +291,7 @@ def grape(run, problem_json):
     run.text("waveform.csv", result.waveform.to_csv())
     run.text(
         "fidelity_trace.csv",
-        write_table("iteration,fidelity", range(len(result.trace)), result.trace),
+        table_blocks("iteration,fidelity", range(len(result.trace)), result.trace),
     )
     run.json(
         "grape_summary.json",
@@ -303,23 +306,57 @@ def grape(run, problem_json):
     return f"fidelity {result.fidelity:.6f} converged={result.converged}"
 
 
+def _number(value, key: str) -> float:
+    if type(value) not in (int, float):
+        raise InputError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _sense_settings(cfg: dict) -> tuple:
+    """(signal_t, n_shots, fringe volts, shots_per_point) of a ``sense``
+    config, defaults filled in. Every key is checked here, before anything
+    is simulated or written; a bad value raises ``InputError`` naming its
+    key, which the CLI prefixes with the config's path."""
+    signal = _number(cfg.get("signal_t", 1e-9), "signal_t")
+    if signal <= 0:
+        raise InputError(f"signal_t must be > 0, got {signal!r}")
+    n_shots = as_int(cfg.get("n_shots", 120000), "n_shots")
+    if n_shots < 100:  # the shortest averaging window of eta(t)
+        raise InputError(f"n_shots must be >= 100, got {n_shots}")
+    volts = cfg.get("volts", [0.0, 0.4, 25])
+    if not (isinstance(volts, list) and len(volts) == 3):
+        raise InputError(f"volts must be [lo, hi, count], got {volts!r}")
+    lo, hi = (_number(v, "volts") for v in volts[:2])
+    count = as_int(volts[2], "volts count")
+    if lo == hi or count < 8:  # the least sweep fit_fringe takes
+        raise InputError(
+            f"volts must be [lo, hi, count] with lo != hi and count >= 8, got {volts!r}"
+        )
+    shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
+    if shots_per_point < 1:
+        raise InputError(f"shots_per_point must be >= 1, got {shots_per_point}")
+    return signal, n_shots, np.linspace(lo, hi, count), shots_per_point
+
+
+def _write_shots(run: _Run, shots) -> np.ndarray:
+    """Write ``shots.csv`` from the record ``shots`` of ``run_experiment``
+    and return its demodulated outcomes. The caller keeps no reference to
+    the record, so it is freed before the sensitivity is computed."""
+    run.text("shots.csv", shots.csv_blocks())
+    return shots.demodulated()
+
+
 @main.command()
 @_recorded
 def sense(run):
     """Simulate a magnetometry run: fringe, sensitivity curve, budget."""
     # ``{**...}`` makes a config that is not a JSON object a TypeError
     cfg = {**load_json(run.input(run.config))} if run.config else {}
+    signal, n_shots, volts, shots_per_point = _sense_settings(cfg)
     config = nv3_config()
-    signal = float(cfg.get("signal_t", 1e-9))
-    n_shots = as_int(cfg.get("n_shots", 120000), "n_shots")
-    v_lo, v_hi, v_n = cfg.get("volts", [0.0, 0.4, 25])
-    shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
 
     volts, counts = simulate_fringe(
-        config,
-        np.linspace(v_lo, v_hi, as_int(v_n, "volts count")),
-        shots_per_point=shots_per_point,
-        seed=run.seed,
+        config, volts, shots_per_point=shots_per_point, seed=run.seed
     )
     run.plot(
         "fringe",
@@ -328,22 +365,19 @@ def sense(run):
     )
     fringe = fit_fringe(volts, counts, config.budget.t_c)
 
-    shots = run_experiment(
-        config,
-        signal,
-        n_shots,
-        seed=run.seed,
-        workers=run.threads,
+    # the shot table is the one output that grows with n_shots: it is
+    # written first, block by block, and its record dropped
+    outcomes = _write_shots(
+        run, run_experiment(config, signal, n_shots, seed=run.seed, workers=run.threads)
     )
     times, eta, asym = sensitivity_from_timeseries(
-        shots.demodulated(), signal, config.shot_duration
+        outcomes, signal, config.shot_duration
     )
     run.plot(
         "eta_vs_time",
         averaging_time_s=("averaging time (s)", times),
         eta_t_per_sqrt_hz=("sensitivity (T/sqrt(Hz))", eta),
     )
-    run.text("shots.csv", shots.to_csv())
     budget = json.loads(config.budget.to_json())
     budget["eta_asymptote_t_per_sqrt_hz"] = asym
     budget["fitted_b_v_t_per_v"] = fringe.b_v

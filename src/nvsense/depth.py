@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
-from .errors import NumericalError, as_int, least_squares, load_json
+from .errors import NumericalError, TableError, as_int, least_squares, load_json
 from .tables import read_table, write_table
 
 # proton number densities (m^-3)
@@ -158,16 +158,17 @@ class DepthDataset:
     def from_csv(cls, text: str, sidecar: str) -> "DepthDataset":
         t, c, s = read_table(text, _DATASET_HEADER)
         meta = load_json(sidecar)
-        return cls(
-            t,
-            c,
-            s,
+        fields = dict(
             n_pulses=as_int(meta["N"], "N"),
             b0=float(meta["b0_tesla"]),
             sample=meta.get("sample", "glycerine"),
             rho=float(meta["rho_per_nm3"]) * 1e27,
             family=meta.get("sequence", "XY16"),
         )
+        try:
+            return cls(t, c, s, **fields)
+        except ValueError as exc:  # only the table's columns are checked
+            raise TableError(str(exc)) from exc
 
 
 @dataclass

@@ -23,8 +23,9 @@ class InputError(ValueError):
 
 
 class TableError(InputError):
-    """A CSV table line that its header does not allow; the CLI names the
-    table's file even when the table's sidecar was read after it."""
+    """A CSV table line that its header does not allow, or a table value
+    that its dataset refuses; the CLI names the table's file even when the
+    table's sidecar was read after it."""
 
 
 def _refuse_constant(name: str):
@@ -39,11 +40,11 @@ def load_json(text: str):
 
 def as_int(value, field: str) -> int:
     """The JSON count ``value`` of ``field``: an int, or a float with no
-    fractional part."""
+    fractional part. Any other value raises ``InputError``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
+        raise InputError(f"{field} must be an integer, got {value!r}")
     return value
 
 

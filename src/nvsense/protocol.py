@@ -16,7 +16,7 @@ import numpy as np
 
 from .sensitivity import SensitivityBudget
 from .sequences import DDSequence
-from .tables import write_table
+from .tables import table_blocks
 
 BATCH_SIZE = 4096
 
@@ -246,24 +246,30 @@ class ExperimentRun:
     seed: int
     config: dict  # descriptor of the ProtocolConfig
     signal: float  # chopped amplitude, T
-    signs: np.ndarray  # +-1 chop sign per shot
-    init_cycles: np.ndarray  # feedback cycles used per shot
-    photons: np.ndarray  # summed readout photons per shot
+    signs: np.ndarray  # int8 +-1 chop sign per shot
+    init_cycles: np.ndarray  # feedback cycles used per shot, narrowest unsigned
+    photons: np.ndarray  # int64 summed readout photons per shot
     shot_duration: float
 
     def demodulated(self) -> np.ndarray:
         """Per-shot outcomes with the chop sign applied and the photon
-        baseline removed."""
-        return self.signs * (self.photons - np.mean(self.photons))
+        baseline removed, as float64."""
+        outcomes = self.photons - np.mean(self.photons)
+        outcomes *= self.signs  # exact: each factor is +-1
+        return outcomes
 
-    def to_csv(self) -> str:
-        return write_table(
+    def csv_blocks(self):
+        """The shot table as ``tables.table_blocks`` yields it, block by block."""
+        return table_blocks(
             "shot,sign,init_cycles,photons",
             range(len(self.photons)),
-            self.signs.astype(np.int8),  # +-1
+            self.signs,
             self.init_cycles,
             self.photons,
         )
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_blocks())
 
     def summary_json(self) -> str:
         return json.dumps(
@@ -311,8 +317,9 @@ def run_experiment(
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    signs = np.where(np.arange(n_shots) % 2 == 0, 1.0, -1.0)
-    init_cycles = np.empty(n_shots, dtype=np.int64)
+    signs = np.ones(n_shots, dtype=np.int8)
+    signs[1::2] = -1
+    init_cycles = np.empty(n_shots, np.min_scalar_type(config.charge.max_cycles))
     photons = np.empty(n_shots, dtype=np.int64)
 
     def one_batch(batch):

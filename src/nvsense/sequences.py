@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E
-from .errors import as_int, load_json
+from .errors import TableError, as_int, load_json
 from .tables import read_table, write_table
 
 _BASE_BLOCK = {"CPMG": 1, "XY8": 8, "XY16": 16, "RAMSEY": 0}
@@ -121,5 +121,8 @@ class CoherenceCurve:
         if sidecar:
             meta = load_json(sidecar)
             family, n = meta["family"], as_int(meta["N"], "N")
-        return cls(t, c, s, family=family, n_pulses=n)
+        try:
+            return cls(t, c, s, family=family, n_pulses=n)
+        except ValueError as exc:  # only the table's columns are checked
+            raise TableError(str(exc)) from exc
 

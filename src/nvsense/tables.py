@@ -5,9 +5,10 @@ line per row. Numbers are written with ``str`` of the Python value, which
 for a float is its shortest round-tripping ``repr``, so a table read back
 gives bit-identical arrays. Text fields must not contain commas.
 
-Rows are written in blocks. A block whose columns are all integers is
-formatted in bulk with numpy, digit by digit, into the same bytes; any other
-block is formatted row by row from Python values.
+Rows are written in blocks of ``_BLOCK_ROWS``, which ``table_blocks`` yields
+one at a time. A block whose columns are all integers is formatted in bulk
+with numpy, digit by digit, into the same bytes; any other block is
+formatted row by row from Python values.
 """
 
 import math
@@ -70,28 +71,41 @@ def _integer_rows(columns) -> str:
     return grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_table(header: str, *columns) -> str:
-    """The table text for ``header`` (comma-separated names) and its columns.
+def table_blocks(header: str, *columns):
+    """The table text for ``header`` (comma-separated names) and its columns,
+    as an iterator of the header line and then one string per block of
+    ``_BLOCK_ROWS`` rows, so a caller can write a table without ever holding
+    all of it.
 
     Each column is anything ``np.asarray`` takes, or a ``range``; integer
     columns are written as integers, float columns as their ``repr``.
+    Unequal columns raise ``ValueError`` here, when the function is called,
+    not when the first block is taken.
     """
     columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
     if len({len(c) for c in columns}) != 1:
         raise ValueError("table columns must be equally long")
+    return _blocks(header, columns)
+
+
+def _blocks(header: str, columns):
+    yield header + "\n"
     row = ",".join(["%s"] * len(columns)) + "\n"
-    parts = [header + "\n"]
     # Python objects for one block of rows at a time: a million-row table
     # as Python ints and row strings would take several times its text
     for lo in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [c[lo : lo + _BLOCK_ROWS] for c in columns]
         integers = [_integers(c) for c in block]
         if all(c is not None for c in integers):
-            parts.append(_integer_rows(integers))
+            yield _integer_rows(integers)
             continue
         values = [list(c) if isinstance(c, range) else c.tolist() for c in block]
-        parts.append("".join(map(row.__mod__, zip(*values))))
-    return "".join(parts)
+        yield "".join(map(row.__mod__, zip(*values)))
+
+
+def write_table(header: str, *columns) -> str:
+    """The text of ``table_blocks(header, *columns)`` as one string."""
+    return "".join(table_blocks(header, *columns))
 
 
 def read_table(text: str, header: str, text_columns=()) -> tuple:

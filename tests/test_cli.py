@@ -541,6 +541,20 @@ class TestManifest:
         assert RunManifest.from_json(MANIFEST_TEXT) == manifest
 
 
+# a `sense` config edit whose value is refused, and the key its error names
+BAD_SENSE_CONFIGS = {
+    "signal-zero": ("signal_t", {"signal_t": 0}),
+    "signal-text": ("signal_t", {"signal_t": "1e-9"}),
+    "n-shots-50": ("n_shots", {"n_shots": 50}),
+    "volts-two-values": ("volts", {"volts": [0, 0.4]}),
+    "volts-text": ("volts", {"volts": "abc"}),
+    "volts-zero-span": ("volts", {"volts": [0.2, 0.2, 25]}),
+    "volts-seven-points": ("volts", {"volts": [0.0, 0.4, 7]}),
+    "volts-count-fractional": ("volts count", {"volts": [0.0, 0.4, 12.5]}),
+    "shots-per-point-zero": ("shots_per_point", {"shots_per_point": 0}),
+}
+
+
 class TestSenseCommand:
     def test_small_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -569,6 +583,19 @@ class TestSenseCommand:
         proc = run_cli("--config", cfg, "--out", tmp_path, "sense", check=False)
         assert proc.returncode == 3
         assert "shots_per_point must be >= 1" in proc.stderr
+
+    @pytest.mark.parametrize("case", BAD_SENSE_CONFIGS)
+    def test_bad_config_value_names_its_key_and_writes_nothing(self, case, tmp_path):
+        """Every config key is checked before sense simulates or writes."""
+        key, edit = BAD_SENSE_CONFIGS[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_SENSE, **edit}))
+        out = tmp_path / "out"
+        proc = run_cli("--config", cfg, "--out", out, "sense", check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {cfg}: {key} ")
+        assert list(out.iterdir()) == []
 
 
 class TestGrapeCommand:
@@ -753,3 +780,66 @@ def test_manifest_lists_every_output(command, depth_bundle, noise_bundle, tmp_pa
     manifest = json.loads((out / "manifest.json").read_text())
     written = {str(p) for p in out.iterdir()} - {str(out / "manifest.json")}
     assert written == set(manifest["outputs"])
+
+
+@pytest.mark.parametrize("command", ["depth", "noise"])
+def test_dataset_value_error_names_the_csv(command, depth_bundle, noise_bundle, tmp_path):
+    """A table whose lines all parse but whose values its dataset refuses
+    exits 3 naming the table's file, although its sidecar is read after it."""
+    if command == "depth":
+        table = tmp_path / "depth_dataset.csv"
+        shutil.copy(depth_bundle / "depth_dataset.csv", table)
+        args = ["depth", table, depth_bundle / "depth_dataset.json"]
+        lines = table.read_text().splitlines()
+        lines[2], lines[3] = lines[3], lines[2]
+        message = "tau grid must be strictly increasing"
+    else:
+        shutil.copytree(noise_bundle, tmp_path / "curves")
+        table = tmp_path / "curves" / "coherence_n16.csv"
+        args = ["noise", tmp_path / "curves"]
+        lines = table.read_text().splitlines()
+        time_2 = lines[2].split(",")[0]
+        lines[3] = ",".join([time_2, *lines[3].split(",")[1:]])
+        message = "times must be strictly increasing"
+    table.write_text("\n".join(lines) + "\n")
+    proc = run_cli("--out", tmp_path / "out", *args, check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"error: {table}: {message}"]
+
+
+def _run_writing_to(out: Path):
+    from nvsense.cli import _Run
+
+    return _Run(argv=[], seed=0, out=out, config=None, threads=1, replay=False)
+
+
+def test_refused_table_leaves_no_file(tmp_path):
+    from nvsense.tables import table_blocks
+
+    run = _run_writing_to(tmp_path)
+    with pytest.raises(ValueError, match="equally long"):
+        run.text("table.csv", table_blocks("a,b", [1.0], [1.0, 2.0]))
+    with pytest.raises(ValueError, match="equally long"):
+        run.plot("plot", a=("first", [1.0]), b=("second", [1.0, 2.0]))
+    assert list(tmp_path.iterdir()) == []
+    assert run.manifest.outputs == {}
+
+
+def test_shot_table_is_written_in_bounded_memory(tmp_path):
+    """A 400,000-shot table goes through ``_Run.text`` one block of rows at
+    a time: the writer never holds half of the table's text."""
+    import tracemalloc
+
+    from nvsense.protocol import nv3_config, run_experiment
+
+    shots = run_experiment(nv3_config(), 1e-9, 400_000, seed=9)
+    run = _run_writing_to(tmp_path)
+    tracemalloc.start()
+    try:
+        run.text("shots.csv", shots.csv_blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "shots.csv").stat().st_size
+    assert (tmp_path / "shots.csv").read_text() == shots.to_csv()
+    assert peak < size / 2, f"peak {peak} B for a {size} B table"

@@ -282,6 +282,23 @@ class TestRunExperiment:
         sem = np.std(x, ddof=1) / np.sqrt(len(x))
         assert abs(np.mean(x)) < 4 * sem
 
+    @pytest.mark.parametrize("max_cycles, dtype", [(100, np.uint8), (300, np.uint16)])
+    def test_per_shot_arrays_keep_their_natural_width(self, max_cycles, dtype):
+        cfg = nv3_config()
+        cfg = ProtocolConfig(
+            cfg.sequence, cfg.budget, charge=ChargeReadoutModel(max_cycles=max_cycles)
+        )
+        run = run_experiment(cfg, 1e-9, 5001, seed=8)
+        assert run.signs.dtype == np.int8
+        assert run.init_cycles.dtype == dtype
+        assert run.photons.dtype == np.int64
+        signs = np.where(np.arange(5001) % 2 == 0, 1.0, -1.0)
+        np.testing.assert_array_equal(run.signs, signs)
+        # the float64 expression demodulated() had with float64 signs
+        expected = signs * (run.photons - np.mean(run.photons))
+        assert run.demodulated().dtype == np.float64
+        assert run.demodulated().tobytes() == expected.tobytes()
+
     def test_csv_shape(self):
         cfg = nv3_config()
         run = run_experiment(cfg, 1e-9, 100, seed=4)

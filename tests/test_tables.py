@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsense.protocol import nv3_config, run_experiment
-from nvsense.tables import _BLOCK_ROWS, read_table, write_table
+from nvsense.tables import _BLOCK_ROWS, read_table, table_blocks, write_table
 
 HEADER = "a,b,c"
 
@@ -189,3 +189,24 @@ def test_uint64_beyond_int64_does_not_wrap():
     # a range beyond int64 is written from Python ints
     huge = range(2**63 - 2, 2**63 + 2)
     assert write_table("i", huge) == "i\n" + "".join(f"{i}\n" for i in huge)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("with_float", [False, True], ids=["integers", "float"])
+def test_table_blocks_join_to_the_table(n, with_float):
+    """The header line, then one string per block of at most _BLOCK_ROWS
+    rows, which join to write_table's text and to the per-row text."""
+    columns = [range(n), (np.arange(n) % 256 - 128).astype(np.int8)]
+    if with_float:
+        columns.append(np.arange(n) / 7)
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    blocks = list(table_blocks(header, *columns))
+    assert blocks[0] == header + "\n"
+    assert len(blocks) == 1 + -(-n // _BLOCK_ROWS)
+    assert all(0 < block.count("\n") <= _BLOCK_ROWS for block in blocks[1:])
+    assert "".join(blocks) == write_table(header, *columns) == _per_row(header, *columns)
+
+
+def test_table_blocks_refuses_unequal_columns_when_called():
+    with pytest.raises(ValueError, match="equally long"):
+        table_blocks("a,b", [1.0], [1.0, 2.0])
