@@ -7,15 +7,18 @@ replaying a recorded one. Plot outputs are plain CSV plus a JSON axis
 description. Exit codes: 0 success, 2 usage (such as a --seed outside
 [0, 2**63 - 1]), 3 bad input data (``ValueError``, an unreadable file, a
 JSON input that does not parse, lacks a key, is not an object, holds a
-value of the wrong type (``TypeError``) or holds NaN or an infinity
-(``errors.InputError``), a CSV line its table does not allow or a
-table value its dataset refuses (``errors.TableError``), a manifest whose
+value of the wrong type (``TypeError``, or ``errors.InputError`` for a
+number) or holds NaN or an infinity (``errors.InputError``), a CSV line
+its table does not allow or a table value its dataset refuses
+(``errors.TableError``), a manifest whose
 command is not a list of strings or is itself a ``rerun``, or a recorded
 input that is missing or changed), 4 numerical failure
 (``errors.NumericalError`` or any other ``ArithmeticError``).
 """
 
+import atexit
 import functools
+import gc
 import json
 import os
 import sys
@@ -27,6 +30,10 @@ from pathlib import Path
 # to split, and idle workers of the pools numpy and scipy each load spin on the
 # CPUs. A value the user has set is kept. Library users' processes are untouched.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# The interpreter's last collections would traverse the ~50k objects numpy and
+# scipy leave alive, 0.1-0.2 s per process; frozen objects are skipped, while
+# the streams are still flushed and other exit handlers still run.
+atexit.register(gc.freeze)
 
 import click
 import numpy as np
@@ -34,7 +41,7 @@ import numpy as np
 from . import __version__
 from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
-from .errors import InputError, TableError, as_int, load_json
+from .errors import InputError, TableError, as_float, as_int, load_json
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
@@ -276,17 +283,19 @@ def noise(run, curves_dir, t1, l_eff):
 def grape(run, problem_json):
     """Optimize a shaped control pulse for a rotation target."""
     spec = load_json(run.input(problem_json))
-    angle = float(spec["angle_deg"]) * np.pi / 180.0
+    angle = as_float(spec["angle_deg"], "angle_deg") * np.pi / 180.0
     problem = GrapeProblem(
         target=rotation_target(angle, spec.get("axis", "x")),
         n_pieces=as_int(spec["n_pieces"], "n_pieces"),
-        piece_duration=float(spec["piece_duration_s"]),
-        max_rabi_hz=float(spec["max_rabi_hz"]),
+        piece_duration=as_float(spec["piece_duration_s"], "piece_duration_s"),
+        max_rabi_hz=as_float(spec["max_rabi_hz"], "max_rabi_hz"),
     )
     result = optimize(
         problem,
         seed=run.seed,
-        target_infidelity=float(spec.get("target_infidelity", 1e-5)),
+        target_infidelity=as_float(
+            spec.get("target_infidelity", 1e-5), "target_infidelity"
+        ),
     )
     run.text("waveform.csv", result.waveform.to_csv())
     run.text(
@@ -306,18 +315,12 @@ def grape(run, problem_json):
     return f"fidelity {result.fidelity:.6f} converged={result.converged}"
 
 
-def _number(value, key: str) -> float:
-    if type(value) not in (int, float):
-        raise InputError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _sense_settings(cfg: dict) -> tuple:
     """(signal_t, n_shots, fringe volts, shots_per_point) of a ``sense``
     config, defaults filled in. Every key is checked here, before anything
     is simulated or written; a bad value raises ``InputError`` naming its
     key, which the CLI prefixes with the config's path."""
-    signal = _number(cfg.get("signal_t", 1e-9), "signal_t")
+    signal = as_float(cfg.get("signal_t", 1e-9), "signal_t")
     if signal <= 0:
         raise InputError(f"signal_t must be > 0, got {signal!r}")
     n_shots = as_int(cfg.get("n_shots", 120000), "n_shots")
@@ -326,7 +329,7 @@ def _sense_settings(cfg: dict) -> tuple:
     volts = cfg.get("volts", [0.0, 0.4, 25])
     if not (isinstance(volts, list) and len(volts) == 3):
         raise InputError(f"volts must be [lo, hi, count], got {volts!r}")
-    lo, hi = (_number(v, "volts") for v in volts[:2])
+    lo, hi = (as_float(v, "volts") for v in volts[:2])
     count = as_int(volts[2], "volts count")
     if lo == hi or count < 8:  # the least sweep fit_fringe takes
         raise InputError(

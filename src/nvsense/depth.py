@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
-from .errors import NumericalError, TableError, as_int, least_squares, load_json
+from .errors import NumericalError, TableError, as_float, as_int, least_squares
+from .errors import load_json
 from .tables import read_table, write_table
 
 # proton number densities (m^-3)
@@ -160,9 +161,9 @@ class DepthDataset:
         meta = load_json(sidecar)
         fields = dict(
             n_pulses=as_int(meta["N"], "N"),
-            b0=float(meta["b0_tesla"]),
+            b0=as_float(meta["b0_tesla"], "b0_tesla"),
             sample=meta.get("sample", "glycerine"),
-            rho=float(meta["rho_per_nm3"]) * 1e27,
+            rho=as_float(meta["rho_per_nm3"], "rho_per_nm3") * 1e27,
             family=meta.get("sequence", "XY16"),
         )
         try:

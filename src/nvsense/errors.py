@@ -4,10 +4,12 @@ Malformed or out-of-range input raises the built-in ``ValueError`` (the
 CLI exits 3). A fit or numerical method that cannot return a number it can
 defend raises ``NumericalError`` (the CLI exits 4, as for any other
 ``ArithmeticError``). Every fit goes through ``least_squares``; every JSON
-input through ``load_json``, and every JSON count through ``as_int``.
+input through ``load_json``, every JSON count through ``as_int`` and every
+JSON real number through ``as_float``.
 """
 
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -48,10 +50,28 @@ def as_int(value, field: str) -> int:
     return value
 
 
+def as_float(value, field: str) -> float:
+    """The JSON number ``value`` of ``field`` as a float. A string, a bool, null
+    or any other non-number, or a number beyond the float range (such as
+    ``1e400``, which the JSON parser reads as infinity), raises ``InputError``."""
+    if type(value) not in (int, float):
+        raise InputError(f"{field} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise InputError(f"{field} is not a finite number")
+    return float(value)
+
+
 def least_squares(model, x, y, p0, bounds, what, sigma=None, maxfev=20000):
-    """``curve_fit`` of ``model`` to (x, y) -> (popt, pcov). A fit that does not
-    converge or starts outside ``bounds``, or a covariance that is not finite,
-    raises ``NumericalError`` naming the fit ``what``, with no warning."""
+    """``curve_fit`` of ``model`` to (x, y) -> (popt, pcov). No more points
+    than parameters, a fit that does not converge or starts outside ``bounds``,
+    or a covariance that is not finite, raises ``NumericalError`` naming the
+    fit ``what``, with no warning."""
+    # with no residual degree of freedom curve_fit's covariance is infinite
+    if len(x) <= len(p0):
+        raise NumericalError(
+            f"{what} covariance is not finite with {len(x)} point(s) for "
+            f"{len(p0)} parameter(s); the fit needs at least {len(p0) + 1} points"
+        )
     from scipy.optimize import OptimizeWarning, curve_fit
 
     try:

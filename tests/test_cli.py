@@ -201,6 +201,24 @@ class TestBasics:
         assert run(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
     @pytest.mark.parametrize(
+        "module, frozen", [("nvsense.cli", "True"), ("nvsense.depth", "False")]
+    )
+    def test_cli_freezes_the_heap_at_exit(self, module, frozen):
+        """Importing the CLI registers an exit handler that moves every live
+        object to the collector's permanent generation, so the interpreter's
+        last collections skip them; a library import registers none. The
+        observer is registered first, so it runs after the CLI's handler."""
+        code = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            f"import {module}\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == frozen
+
+    @pytest.mark.parametrize(
         "args",
         [["erl"], ["gen", "noise"], ["gen", "depth", "--suite"]],
         ids=["erl", "gen-noise", "gen-depth-suite"],
@@ -660,16 +678,21 @@ JSON_EDITS = {
     "config-n-shots-fractional": {"n_shots": 20000.5},
     "config-signal-nan": {"signal_t": math.nan},
     "config-signal-inf": {"signal_t": math.inf},
+    "config-signal-overflow": {"signal_t": 10**400},
     "problem-list": None,
     "problem-angle-null": {"angle_deg": None},
     "problem-n-pieces-fractional": {"n_pieces": 10.9},
     "problem-axis-z": {"axis": "z"},
     "problem-piece-duration-nan": {"piece_duration_s": math.nan},
     "problem-max-rabi-nan": {"max_rabi_hz": math.nan},
+    "problem-max-rabi-string": {"max_rabi_hz": "fast"},
+    "problem-angle-bool": {"angle_deg": True},
     "depth-sidecar-list": None,
     "depth-sidecar-n-null": {"N": None},
     "depth-sidecar-n-fractional": {"N": 4096.9},
     "depth-sidecar-b0-inf": {"b0_tesla": -math.inf},
+    "depth-sidecar-b0-string": {"b0_tesla": "abc"},
+    "depth-sidecar-b0-bool": {"b0_tesla": True},
     "depth-sidecar-truncated": TRUNCATED,
     "depth-sidecar-n-missing": {"N": MISSING},
     "coherence-sidecar-list": None,
@@ -682,6 +705,8 @@ NON_FINITE = ("-nan", "-inf")
 # a TypeError, a non-finite number, a JSON text that does not parse and a
 # missing key put the path of their file first
 NAMES_FILE = ("-list", "angle-null", *NON_FINITE, "-truncated", "-missing")
+# a real number given as text or as a bool names its file and its key
+NAMES_KEY = ("-string", "-bool")
 
 
 @pytest.mark.parametrize("case", JSON_EDITS)
@@ -722,6 +747,9 @@ def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path
         assert "is not a finite number" in line
     if case.endswith("missing"):
         assert line.endswith("missing key 'N'")
+    if case.endswith(NAMES_KEY):
+        (key,) = edit
+        assert line.startswith(f"error: {bad}: {key} must be a number, got ")
 
 
 @pytest.mark.parametrize("command", ["depth", "noise", "erl"])

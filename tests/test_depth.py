@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,26 @@ class TestFitDepth:
         fit1 = fit_depth(data)
         fit2 = fit_depth(dataclasses.replace(data, rho=2 * RHO_GLYCERINE))
         assert fit2.d_nv / fit1.d_nv == pytest.approx(2 ** (1 / 3), rel=5e-3)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2])
+def test_scan_with_no_more_rows_than_parameters_is_refused(n_rows):
+    """A scan of one or two rows from the deepest point of the dip cannot fix
+    depth and linewidth; the refusal names the fit and both counts."""
+    data = make_dataset(31.7e-9, 4096, noise=0.005, seed=0)
+    rows = slice(int(np.argmin(data.coherence)), None)
+    sub = dataclasses.replace(
+        data,
+        taus=data.taus[rows][:n_rows],
+        coherence=data.coherence[rows][:n_rows],
+        sigma=data.sigma[rows][:n_rows],
+    )
+    message = (
+        f"depth fit covariance is not finite with {n_rows} point(s) for 2 "
+        "parameter(s); the fit needs at least 3 points"
+    )
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        fit_depth(sub)
 
 
 @pytest.mark.parametrize("index", range(len(DEPTH_SUITE)))

@@ -1,9 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from nvsense.errors import NumericalError, as_int, least_squares
+from nvsense.errors import NumericalError, as_float, as_int, least_squares
 
 X = np.linspace(0.0, 4.0, 9)
 Y = 2.0 * np.exp(-0.7 * X)
@@ -41,6 +42,19 @@ def test_least_squares_refusals_raise_without_warning(x, p0, maxfev, message, ca
     assert caught == []
 
 
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_least_squares_counts_points_before_fitting(n_points):
+    """With no more points than parameters the fit is refused before the model
+    is ever evaluated."""
+
+    def model(x, a, k):
+        raise AssertionError("the model was evaluated")
+
+    x, y = X[:n_points], Y[:n_points]
+    with pytest.raises(NumericalError, match=rf"with {n_points} point\(s\) for 2 param"):
+        least_squares(model, x, y, (1.0, 1.0), ([0, 0], [10, 10]), "decay fit")
+
+
 @pytest.mark.parametrize("value", [4096, 4096.0])
 def test_as_int_accepts_whole_numbers(value):
     n = as_int(value, "N")
@@ -51,3 +65,25 @@ def test_as_int_accepts_whole_numbers(value):
 def test_as_int_refuses_other_values(value):
     with pytest.raises(ValueError, match="N must be an integer"):
         as_int(value, "N")
+
+
+@pytest.mark.parametrize("value", [3, 0.5, -2e-9])
+def test_as_float_accepts_numbers(value):
+    x = as_float(value, "b0_tesla")
+    assert x == value and type(x) is float
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("0.5", "must be a number, got '0.5'"),
+        (True, "must be a number, got True"),
+        (None, "must be a number, got None"),
+        ([0.5], "must be a number"),
+        (float("inf"), "is not a finite number"),
+        (10**400, "is not a finite number"),
+    ],
+)
+def test_as_float_refuses_other_values(value, message):
+    with pytest.raises(ValueError, match=f"^b0_tesla {re.escape(message)}"):
+        as_float(value, "b0_tesla")
