@@ -341,14 +341,6 @@ def _sense_settings(cfg: dict) -> tuple:
     return signal, n_shots, np.linspace(lo, hi, count), shots_per_point
 
 
-def _write_shots(run: _Run, shots) -> np.ndarray:
-    """Write ``shots.csv`` from the record ``shots`` of ``run_experiment``
-    and return its demodulated outcomes. The caller keeps no reference to
-    the record, so it is freed before the sensitivity is computed."""
-    run.text("shots.csv", shots.csv_blocks())
-    return shots.demodulated()
-
-
 @main.command()
 @_recorded
 def sense(run):
@@ -369,12 +361,11 @@ def sense(run):
     fringe = fit_fringe(volts, counts, config.budget.t_c)
 
     # the shot table is the one output that grows with n_shots: it is
-    # written first, block by block, and its record dropped
-    outcomes = _write_shots(
-        run, run_experiment(config, signal, n_shots, seed=run.seed, workers=run.threads)
-    )
+    # written block by block, and eta(t) is summed from the 4-byte record
+    shots = run_experiment(config, signal, n_shots, seed=run.seed, workers=run.threads)
+    run.text("shots.csv", shots.csv_blocks())
     times, eta, asym = sensitivity_from_timeseries(
-        outcomes, signal, config.shot_duration
+        shots.photons, shots.signs, signal, config.shot_duration
     )
     run.plot(
         "eta_vs_time",

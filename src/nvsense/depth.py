@@ -211,8 +211,11 @@ def fit_depth(data: DepthDataset) -> DepthFit:
         )
         return float(res.x), float(res.fun)
 
-    # bounds on (depth in m, linewidth in rad/s)
-    lo, hi = np.array([1e-9, 1e3]), np.array([500e-9, 1e7])
+    # bounds on (depth in nm, linewidth in rad/s). The polish works in nm and
+    # log rad/s, both of order 10: its finite-difference steps (relative to a
+    # parameter, but never below ~1.5e-8) and its step tolerance (relative to
+    # the parameter vector's norm) then suit both
+    lo, hi = np.array([1.0, 1e3]), np.array([500.0, 1e7])
     lam_grid = np.geomspace(lo[1], hi[1], 25)
     k_scan = _overlap_k(data.n_pulses, taus, omega_l, lam_grid[:, None])
     scans = [amplitude_cost(k) for k in k_scan]
@@ -220,13 +223,13 @@ def fit_depth(data: DepthDataset) -> DepthFit:
     q_best = scans[i_best][0]
     lam_best = float(lam_grid[i_best])
     unit = ProtonBathModel(rho=data.rho, d_nv=1e-9)
-    q_per_d3 = (2 / np.pi**2) * GAMMA_E**2 * b_rms_squared(unit) * (1e-9) ** 3
+    q_per_nm3 = (2 / np.pi**2) * GAMMA_E**2 * b_rms_squared(unit)
     if q_best <= 0:
         raise NumericalError("dip amplitude fitted to zero")
-    d_best = float((q_per_d3 / q_best) ** (1 / 3))
+    d_best = float((q_per_nm3 / q_best) ** (1 / 3))
 
-    def model_log(tau, d_nv, log_lam):
-        q = q_per_d3 / d_nv**3
+    def model_log(tau, d_nm, log_lam):
+        q = q_per_nm3 / d_nm**3
         return np.exp(-q * _overlap_k(data.n_pulses, tau, omega_l, np.exp(log_lam)))
 
     popt, pcov = least_squares(
@@ -234,23 +237,23 @@ def fit_depth(data: DepthDataset) -> DepthFit:
         ([lo[0], np.log(lo[1])], [hi[0], np.log(hi[1])]), "depth fit",
         sigma=data.sigma if np.all(data.sigma > 0) else None, maxfev=400,
     )
-    d, lam = float(popt[0]), float(np.exp(popt[1]))
-    d_sigma = float(np.sqrt(pcov[0, 0]))
+    d_nm, lam = float(popt[0]), float(np.exp(popt[1]))
+    d_sigma_nm = float(np.sqrt(pcov[0, 0]))
     # within 1e-6 of a bound, relative to that bound
-    fitted = np.array([d, lam])
+    fitted = np.array([d_nm, lam])
     if np.any((fitted <= lo * (1 + 1e-6)) | (fitted >= hi * (1 - 1e-6))):
         raise NumericalError(
-            f"depth fit ends on a bound: depth {d * 1e9:.6g} nm (bounds 1-500), "
+            f"depth fit ends on a bound: depth {d_nm:.6g} nm (bounds 1-500), "
             f"linewidth {lam:.7g} rad/s (bounds 1e3-1e7)"
         )
-    if d_sigma >= d:
+    if d_sigma_nm >= d_nm:
         raise NumericalError(
             f"depth fit cannot resolve the depth: "
-            f"{d * 1e9:.2f} +- {d_sigma * 1e9:.2f} nm"
+            f"{d_nm:.2f} +- {d_sigma_nm:.2f} nm"
         )
     return DepthFit(
-        d_nv=d,
-        d_nv_sigma=d_sigma,
+        d_nv=d_nm * 1e-9,
+        d_nv_sigma=d_sigma_nm * 1e-9,
         linewidth=lam,
         linewidth_sigma=float(lam * np.sqrt(pcov[1, 1])),
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .sensitivity import SensitivityBudget
 from .sequences import DDSequence
 from .tables import table_blocks
@@ -155,6 +156,14 @@ class ReadoutChainModel:
         )
 
 
+def photon_bound(model: ReadoutChainModel) -> int:
+    """An upper bound on one shot's summed photons: lam + 40 sqrt(lam) + 40
+    with lam = n_cycles * mean_photons_one, the largest Poisson mean a shot
+    can have. A Poisson draw beyond it has probability below 1e-120."""
+    lam = model.n_cycles * model.mean_photons_one
+    return math.ceil(lam + 40 * math.sqrt(lam) + 40)
+
+
 def _readout_photons(model: ReadoutChainModel, rng, states: np.ndarray):
     """Summed photon counts for a batch of shots with given initial nuclear
     states, including stochastic flips along the chain.
@@ -248,15 +257,8 @@ class ExperimentRun:
     signal: float  # chopped amplitude, T
     signs: np.ndarray  # int8 +-1 chop sign per shot
     init_cycles: np.ndarray  # feedback cycles used per shot, narrowest unsigned
-    photons: np.ndarray  # int64 summed readout photons per shot
+    photons: np.ndarray  # summed readout photons per shot, narrowest unsigned
     shot_duration: float
-
-    def demodulated(self) -> np.ndarray:
-        """Per-shot outcomes with the chop sign applied and the photon
-        baseline removed, as float64."""
-        outcomes = self.photons - np.mean(self.photons)
-        outcomes *= self.signs  # exact: each factor is +-1
-        return outcomes
 
     def csv_blocks(self):
         """The shot table as ``tables.table_blocks`` yields it, block by block."""
@@ -310,17 +312,22 @@ def run_experiment(
 ) -> ExperimentRun:
     """Simulate ``n_shots`` of the full protocol with a chopped test field.
 
-    The applied field alternates +-signal shot by shot; outputs feed
-    sensitivity_from_timeseries. Each fixed-size shot batch owns an
-    independent counter-based stream, so any ``workers`` count produces
-    identical results.
+    The applied field alternates +-signal shot by shot; ``photons`` and
+    ``signs`` feed sensitivity_from_timeseries. Each fixed-size shot batch
+    owns an independent counter-based stream, so any ``workers`` count
+    produces identical results.
+
+    ``photons`` is stored in the narrowest unsigned dtype that holds
+    ``photon_bound(config.readout)``; a batch that draws beyond it raises
+    ``NumericalError`` rather than wrap.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     signs = np.ones(n_shots, dtype=np.int8)
     signs[1::2] = -1
     init_cycles = np.empty(n_shots, np.min_scalar_type(config.charge.max_cycles))
-    photons = np.empty(n_shots, dtype=np.int64)
+    bound = photon_bound(config.readout)
+    photons = np.empty(n_shots, np.min_scalar_type(bound))
 
     def one_batch(batch):
         sl, rng = batch
@@ -332,6 +339,11 @@ def run_experiment(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for sl, (cycles, pho) in pool.map(one_batch, _batches(n_shots, seed)):
             init_cycles[sl] = cycles
+            if pho.max() > bound:
+                raise NumericalError(
+                    f"a shot drew {pho.max()} photons, beyond the record's "
+                    f"bound of {bound}"
+                )
             photons[sl] = pho
     return ExperimentRun(
         seed=seed,

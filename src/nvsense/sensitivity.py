@@ -130,38 +130,86 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     )
 
 
+# shots per int64 slice: with |counts| < 2**23 a slice sums p**2 below 2**60
+_CHUNK = 1 << 14
+
+
+def _window_sums(counts, signs, ends):
+    """Exact sums of p, p**2, s*p and s over the first n shots, for each n
+    in ``ends`` (increasing), as Python ints.
+
+    The shots are taken in int64 slices of at most ``_CHUNK``, cut at every
+    window end, so no array as long as the run is made. A sign other than
+    +-1 raises ``ValueError``.
+    """
+    cuts = np.union1d(ends, np.arange(0, ends[-1], _CHUNK)).tolist()
+    at = set(ends.tolist())
+    sums, total = [], (0, 0, 0, 0)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        s = signs[lo:hi]
+        if np.any(np.abs(s) != 1):
+            raise ValueError("signs must be +1 or -1")
+        p, s = counts[lo:hi].astype(np.int64), s.astype(np.int64)
+        part = (p.sum(), p @ p, s @ p, s.sum())
+        total = tuple(a + int(b) for a, b in zip(total, part))
+        if hi in at:
+            sums.append(total)
+    return sums
+
+
 def sensitivity_from_timeseries(
-    outcomes,
+    counts,
+    signs,
     signal_amplitude: float,
     shot_duration: float,
 ):
-    """Sensitivity versus averaging time from demodulated per-shot outcomes.
+    """Sensitivity versus averaging time from per-shot photon counts.
 
-    ``outcomes`` is the per-shot signal estimate (already demodulated so its
-    mean is proportional to the applied amplitude). At each of 50
-    log-spaced averaging times t the signal-to-noise ratio is mean /
-    standard error over the first t / shot_duration shots, and
-    eta(t) = amplitude * sqrt(t) / SNR(t).
+    ``counts`` are integer photon counts and ``signs`` the +-1 chop sign of
+    each shot; the per-shot outcome is signs * (counts - mean(counts)), the
+    mean taken over the whole run, so its mean is proportional to the
+    applied amplitude. At each of 50 log-spaced averaging times t the
+    signal-to-noise ratio is mean / standard error (ddof=1) over the first
+    n = t / shot_duration shots, and eta(t) = amplitude * sqrt(t) / SNR(t).
+
+    Each window's mean and variance are formed exactly, as fractions of the
+    integer window sums, and t var / (n mean**2) is rounded once, so eta(t)
+    is within about one ulp of its exact value and no per-shot float array
+    is made.
 
     Returns (times, eta_curve, asymptote); the asymptote averages the final
     half decade.
     """
-    x = np.asarray(outcomes, dtype=float)
-    if len(x) < 100:
+    counts, signs = np.asarray(counts), np.asarray(signs)
+    if counts.ndim != 1 or counts.shape != signs.shape:
+        raise ValueError("counts and signs must be 1-D and equally long")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got {counts.dtype}")
+    n_shots = len(counts)
+    if n_shots < 100:
         raise ValueError("need at least 100 shots")
     if signal_amplitude <= 0 or shot_duration <= 0:
         raise ValueError("amplitude and shot duration must be > 0")
+    if max(-int(counts.min()), int(counts.max())) >= 2**23:
+        raise ValueError("counts must lie within +-2**23")
 
-    ns = np.unique(np.geomspace(100, len(x), 50).astype(int))
-    # the windows are nested prefixes, so each has a noise scale if the first does
-    if np.std(x[: ns[0]]) == 0:
-        raise NumericalError("zero-variance outcomes carry no noise scale")
+    from fractions import Fraction  # off the CLI's start-up
+
+    ns = np.unique(np.geomspace(100, n_shots, 50).astype(int))
+    sums = _window_sums(counts, signs, ns)
+    mean_count = Fraction(sums[-1][0], n_shots)
     times = ns * shot_duration
     eta = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        seg = x[:n]
-        snr = abs(np.mean(seg)) / (np.std(seg, ddof=1) / np.sqrt(n))
-        eta[i] = signal_amplitude * np.sqrt(times[i]) / snr if snr > 0 else np.inf
+    for i, (n, (sum_p, sum_p2, sum_sp, sum_s)) in enumerate(zip(ns.tolist(), sums)):
+        mean = (sum_sp - mean_count * sum_s) / n
+        # the sum of squares about the run mean, less n mean**2 about the window's
+        ss = sum_p2 - 2 * mean_count * sum_p + n * mean_count**2 - n * mean**2
+        var = ss / (n - 1)
+        # the windows are nested prefixes, so each has a noise scale if the first does
+        if i == 0 and var == 0:
+            raise NumericalError("zero-variance outcomes carry no noise scale")
+        ratio = Fraction(float(times[i])) * var / (n * mean**2) if mean else math.inf
+        eta[i] = signal_amplitude * math.sqrt(ratio)
     tail = times >= times[-1] / np.sqrt(10.0)
     asymptote = float(np.mean(eta[tail]))
     return times, eta, asymptote

@@ -15,9 +15,17 @@ comb, and these slower, more direct forms check them.
   closed form and step only the shots still in the chain.
 - ``assignment_fidelity``: the repetitive readout's fidelity in closed form,
   the reference for the readout Monte Carlo.
+- ``demodulate`` and ``eta_from_outcomes``: the float64 sensitivity curve,
+  per-shot outcomes averaged window by window with ``np.mean`` and
+  ``np.std``, the reference for ``sensitivity_from_timeseries``'s exact
+  window sums.
+- ``eta_exact``: the same curve from the definition in rational arithmetic,
+  two passes over each window and a 40-digit square root.
 """
 
 import math
+from decimal import Context
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -195,3 +203,49 @@ def assignment_fidelity(model) -> float:
     p_correct_1 = float(np.sum(w * pdtrc(k_thr, lam_hi)))
     p_correct_0 = float(np.sum(w * pdtr(k_thr, lam_lo)))
     return 0.5 * (p_correct_1 + p_correct_0)
+
+
+def demodulate(counts, signs):
+    """Per-shot outcomes signs * (counts - mean(counts)) as float64."""
+    outcomes = counts - np.mean(counts)
+    outcomes *= signs  # exact: each factor is +-1
+    return outcomes
+
+
+def eta_from_outcomes(outcomes, signal_amplitude, shot_duration):
+    """(times, eta, asymptote) from float64 outcomes: mean over standard
+    error of each prefix window, with eta = amplitude sqrt(t) / SNR."""
+    x = np.asarray(outcomes, dtype=float)
+    ns = np.unique(np.geomspace(100, len(x), 50).astype(int))
+    times = ns * shot_duration
+    eta = np.empty(len(ns))
+    for i, n in enumerate(ns):
+        seg = x[:n]
+        snr = abs(np.mean(seg)) / (np.std(seg, ddof=1) / np.sqrt(n))
+        eta[i] = signal_amplitude * np.sqrt(times[i]) / snr if snr > 0 else np.inf
+    tail = times >= times[-1] / np.sqrt(10.0)
+    return times, eta, float(np.mean(eta[tail]))
+
+
+def eta_exact(counts, signs, signal_amplitude, times):
+    """eta at each averaging time in ``times`` (floats, taken as exact), from
+    the outcome of each shot as a fraction: the window's mean, then its
+    variance as the sum of squares about that mean (ddof=1), then
+    amplitude sqrt(t var / n) / |mean| to 40 significant digits."""
+    counts, signs = [int(c) for c in counts], [int(s) for s in signs]
+    n_shots = len(counts)
+    ns = np.unique(np.geomspace(100, n_shots, 50).astype(int)).tolist()
+    # outcomes scaled by n_shots are integers: s (n_shots p - sum p)
+    total = sum(counts)
+    y = [s * (n_shots * p - total) for p, s in zip(counts, signs)]
+    digits = Context(prec=40)
+    out = []
+    for n, t in zip(ns, times):
+        y_sum = sum(y[:n])  # n_shots * n * mean
+        sq = sum((n * v - y_sum) ** 2 for v in y[:n])  # (n n_shots)^2 ss
+        var = Fraction(sq, (n * n_shots) ** 2 * (n - 1))
+        mean = Fraction(y_sum, n * n_shots)
+        eta2 = Fraction(signal_amplitude) ** 2 * Fraction(t) * var / (n * mean**2)
+        root = digits.sqrt(digits.divide(eta2.numerator, eta2.denominator))
+        out.append(float(root))
+    return np.array(out)

@@ -203,7 +203,7 @@ class TestCriterion8ProtocolSimulator:
         # the 0.05 bound 4 spreads out
         run = run_experiment(config, 1e-9, 1_200_000, seed=6)
         times, eta, asym = sensitivity_from_timeseries(
-            run.demodulated(), 1e-9, config.shot_duration
+            run.photons, run.signs, 1e-9, config.shot_duration
         )
         assert asym == pytest.approx(ETA_NV3, rel=0.15)
         last = times >= times[-1] / 10

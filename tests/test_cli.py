@@ -28,7 +28,7 @@ SMALL_SENSE = {"n_shots": 20000, "shots_per_point": 500, "volts": [0.0, 0.4, 15]
 SENSE_DIGESTS = {
     "shots.csv": "3f10211a29272515062a52637fb204ce7f251ecafb4d68b4c8f5d613a1cf7554",
     "fringe.csv": "83bfa4f90f38eec284d68f04cb91d4f4b89930c4b8bbfe6c3cedb6b0105b9678",
-    "eta_vs_time.csv": "f1f727c11f121084f9abac16863b2cd06823a974ae918b8dfc50ec075cc30a7d",
+    "eta_vs_time.csv": "906238ee20031fee0811968a231be64244386a67890cb5b6e9c7fbb59e01c38e",
     "budget.json": "deac6f4d3533a06fc18ae9735284bab03cd60baa418dfa947d4e20cdacd3cee6",
 }
 # SHA-256 of `--seed 1 grape` on SMALL_PROBLEM and of `depth` on depth_bundle;
@@ -39,8 +39,8 @@ GRAPE_DIGESTS = {
     "grape_summary.json": "50b107572d8bbd6f5d8980bc6be39daf51715f7ddd9ad4e87c2fb728dafe918a",
 }
 DEPTH_DIGESTS = {
-    "depth_report.json": "9fff7951f165e2a6a63ab4e0631e199a4f1cde95a91df966f6f735bb0df6ad36",
-    "depth_fit_curve.csv": "9f2d19ae452e2f6d27951b6e27069afd3236091dab012947145193b592c4b9db",
+    "depth_report.json": "59f51f1beb3668423eed50548710ecb885670a998f0e79a488008fbf65a71fcb",
+    "depth_fit_curve.csv": "9005889c1b86fc0ad3c21c6f984825063e1c82ca4abb3b861b30dc8cf87cc7e6",
 }
 # SHA-256 of `--seed 0 gen noise` (noise_bundle) and of `noise` on it; a
 # rewrite of the comb or of the inversion must change no output bit

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nvsense import depth
 from nvsense.constants import GAMMA_H, TWO_PI
 from nvsense.depth import (
     RHO_GLYCERINE,
@@ -17,7 +18,7 @@ from nvsense.depth import (
     fit_depth,
     proton_signal_coherence,
 )
-from nvsense.errors import NumericalError
+from nvsense.errors import NumericalError, least_squares
 from nvsense.sequences import DDSequence
 
 from nvsense.synth import DEPTH_B0 as B0_MEAS
@@ -175,6 +176,25 @@ class TestFitDepth:
         fit1 = fit_depth(data)
         fit2 = fit_depth(dataclasses.replace(data, rho=2 * RHO_GLYCERINE))
         assert fit2.d_nv / fit1.d_nv == pytest.approx(2 ** (1 / 3), rel=5e-3)
+
+    @pytest.mark.parametrize("index", range(len(DEPTH_SUITE)))
+    def test_polish_converges_from_an_offset_start(self, index, monkeypatch):
+        """The polish, started 5% off in depth and 20% off in linewidth in
+        each direction, ends within 1e-3 sigma of the polish from the scan's
+        start."""
+        data = make_depth_suite()[index][0]
+        fit = fit_depth(data)
+        for depth_factor in (0.95, 1.05):
+            for linewidth_factor in (0.8, 1.2):
+
+                def offset_start(model, x, y, p0, *args, **kwargs):
+                    start = (p0[0] * depth_factor, p0[1] + np.log(linewidth_factor))
+                    return least_squares(model, x, y, start, *args, **kwargs)
+
+                monkeypatch.setattr(depth, "least_squares", offset_start)
+                moved = fit_depth(data)
+                assert abs(moved.d_nv - fit.d_nv) < 1e-3 * fit.d_nv_sigma
+                assert abs(moved.linewidth - fit.linewidth) < 1e-3 * fit.linewidth_sigma
 
 
 @pytest.mark.parametrize("n_rows", [1, 2])

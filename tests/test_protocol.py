@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from scipy.special import pdtrc
 from scipy.stats import chi2_contingency
 
+from nvsense import protocol
+from nvsense.errors import NumericalError
 from nvsense.protocol import (
     BATCH_SIZE,
     ChargeReadoutModel,
@@ -16,6 +19,7 @@ from nvsense.protocol import (
     _poisson_tail,
     _readout_photons,
     nv3_config,
+    photon_bound,
     run_experiment,
     simulate_charge_init,
     simulate_fringe,
@@ -27,7 +31,12 @@ from nvsense.sensitivity import (
     sensitivity_from_timeseries,
 )
 from nvsense.sequences import DDSequence
-from oracles import assignment_fidelity, charge_init_batch, readout_photons
+from oracles import (
+    assignment_fidelity,
+    charge_init_batch,
+    demodulate,
+    readout_photons,
+)
 
 KERNEL_SEEDS = (0, 1, 7, 6001)
 N_TRIALS = 200_000
@@ -278,7 +287,7 @@ class TestRunExperiment:
     def test_zero_signal_flat(self):
         cfg = nv3_config()
         run = run_experiment(cfg, 0.0, 40000, seed=3)
-        x = run.demodulated()
+        x = demodulate(run.photons, run.signs)
         sem = np.std(x, ddof=1) / np.sqrt(len(x))
         assert abs(np.mean(x)) < 4 * sem
 
@@ -291,13 +300,42 @@ class TestRunExperiment:
         run = run_experiment(cfg, 1e-9, 5001, seed=8)
         assert run.signs.dtype == np.int8
         assert run.init_cycles.dtype == dtype
-        assert run.photons.dtype == np.int64
-        signs = np.where(np.arange(5001) % 2 == 0, 1.0, -1.0)
+        # 680 photons bound a shot of the default chain
+        assert run.photons.dtype == np.uint16
+        signs = np.where(np.arange(5001) % 2 == 0, 1, -1)
         np.testing.assert_array_equal(run.signs, signs)
-        # the float64 expression demodulated() had with float64 signs
-        expected = signs * (run.photons - np.mean(run.photons))
-        assert run.demodulated().dtype == np.float64
-        assert run.demodulated().tobytes() == expected.tobytes()
+
+    def test_photons_widen_with_the_readout_bound(self):
+        # 30 photons per state-1 cycle: the bound is 85,995, past uint16
+        cfg = nv3_config()
+        readout = ReadoutChainModel(mean_photons_one=30.0)
+        cfg = ProtocolConfig(cfg.sequence, cfg.budget, readout=readout)
+        run = run_experiment(cfg, 1e-9, 5001, seed=8)
+        assert photon_bound(readout) == 85995
+        assert run.photons.dtype == np.uint32
+        assert run.photons.max() > np.iinfo(np.uint16).max
+
+    def test_photon_bound_is_far_beyond_any_draw(self):
+        # lam + 40 sqrt(lam) + 40 for the largest Poisson mean of a shot;
+        # the tail beyond it is below 1e-120 at any lam
+        assert photon_bound(ReadoutChainModel()) == 680
+        for lam in (1e-3, 0.3, 150.0, 1e4):
+            model = ReadoutChainModel(mean_photons_one=lam / 2500, mean_photons_zero=0)
+            bound = photon_bound(model)
+            assert pdtrc(bound, lam) < 1e-120
+
+    def test_draw_beyond_the_bound_raises(self, monkeypatch):
+        cfg = nv3_config()
+        bound = photon_bound(cfg.readout)
+
+        def too_many(model, rng, states):
+            photons = _readout_photons(model, rng, states)
+            photons[-1] = bound + 1
+            return photons
+
+        monkeypatch.setattr(protocol, "_readout_photons", too_many)
+        with pytest.raises(NumericalError, match="681 photons"):
+            run_experiment(cfg, 1e-9, 5000, seed=8)
 
     def test_csv_shape(self):
         cfg = nv3_config()
@@ -331,9 +369,26 @@ class TestSensitivityRun:
         # Criterion 8's length: |slope| <= 0.05 is 4 spreads over seeds here
         run = run_experiment(cfg, 1e-9, 1_200_000, seed=6)
         times, eta, asym = sensitivity_from_timeseries(
-            run.demodulated(), 1e-9, cfg.shot_duration
+            run.photons, run.signs, 1e-9, cfg.shot_duration
         )
         assert asym == pytest.approx(0.59e-9, rel=0.15)
         tail = times >= times[-1] / 10.0
         slope = np.polyfit(np.log(times[tail]), np.log(eta[tail]), 1)[0]
         assert abs(slope) <= 0.05
+
+    def test_eta_pass_holds_no_per_shot_float_array(self):
+        # the window sums take int64 slices of at most 2**14 shots, so the
+        # pass peaks below a quarter of one float64 copy of the run
+        cfg = nv3_config()
+        n = 1_200_000
+        run = run_experiment(cfg, 1e-9, n, seed=6, workers=2)
+        # a short pass first, so that the modules numpy imports lazily
+        # (np.unique loads numpy.ma) are not counted
+        sensitivity_from_timeseries(run.photons[:200], run.signs[:200], 1e-9, 1e-3)
+        tracemalloc.start()
+        try:
+            sensitivity_from_timeseries(run.photons, run.signs, 1e-9, cfg.shot_duration)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8 / 4

@@ -20,7 +20,9 @@ from nvsense.sensitivity import (
     magnetometer_records_from_csv,
     sensitivity_from_timeseries,
 )
+from nvsense.protocol import nv3_config, run_experiment
 from nvsense.tables import write_table
+from oracles import demodulate, eta_exact, eta_from_outcomes
 
 NV3_BUDGET = SensitivityBudget(
     t_c=1.8e-3,
@@ -137,45 +139,119 @@ class TestFitFringe:
         assert f2.a == pytest.approx(7.0 * f1.a, rel=1e-6)
 
 
+def _signs(n):
+    """The chop signs +1, -1, +1, ... of n shots."""
+    signs = np.ones(n, dtype=np.int8)
+    signs[1::2] = -1
+    return signs
+
+
 class TestSensitivityFromTimeseries:
-    def _shots(self, mu, sigma, n, seed=0):
+    def _shots(self, base, delta, n, seed=0):
+        """Poisson counts of mean base + sign * delta, and the signs: the
+        outcomes have mean delta and variance base."""
+        signs = _signs(n)
         rng = np.random.default_rng(seed)
-        return rng.normal(mu, sigma, n)
+        return rng.poisson(base + delta * signs), signs
 
     def test_white_noise_eta_flat(self):
-        x = self._shots(1.0, 0.5, 20000)
-        times, eta, asym = sensitivity_from_timeseries(x, 1e-9, 1e-3)
+        counts, signs = self._shots(25.0, 10.0, 20000)
+        times, eta, asym = sensitivity_from_timeseries(counts, signs, 1e-9, 1e-3)
         tail = eta[times > times[-1] / 10]
         assert np.max(tail) / np.min(tail) < 1.2
         assert asym == pytest.approx(np.mean(tail), rel=0.2)
 
     def test_doubled_amplitude_same_eta(self):
-        noise = self._shots(0.0, 0.5, 5000)
-        _, _, a1 = sensitivity_from_timeseries(1.0 + noise, 1e-9, 1e-3)
-        _, _, a2 = sensitivity_from_timeseries(2.0 + noise, 2e-9, 1e-3)
+        signs = _signs(5000)
+        noise = np.rint(np.random.default_rng(0).normal(0.0, 5.0, 5000))
+        counts1 = (100 + 10 * signs + noise).astype(int)
+        counts2 = (100 + 20 * signs + noise).astype(int)
+        _, _, a1 = sensitivity_from_timeseries(counts1, signs, 1e-9, 1e-3)
+        _, _, a2 = sensitivity_from_timeseries(counts2, signs, 2e-9, 1e-3)
         assert a2 == pytest.approx(a1, rel=0.02)
 
     def test_analytic_value(self):
-        # eta = amplitude * sigma * sqrt(shot_duration) / mu for iid shots
-        x = self._shots(2.0, 0.4, 40000, seed=5)
-        _, _, asym = sensitivity_from_timeseries(x, 1e-9, 1.44e-3)
-        expected = 1e-9 * 0.4 * math.sqrt(1.44e-3) / 2.0
+        # eta = amplitude * sigma * sqrt(shot_duration) / mu for iid shots,
+        # here sigma = sqrt(100) and mu = 50
+        counts, signs = self._shots(100.0, 50.0, 40000, seed=5)
+        _, _, asym = sensitivity_from_timeseries(counts, signs, 1e-9, 1.44e-3)
+        expected = 1e-9 * 0.2 * math.sqrt(1.44e-3)
         assert asym == pytest.approx(expected, rel=0.05)
 
     def test_zero_variance_degenerate(self):
         with pytest.raises(NumericalError, match="zero-variance"):
-            sensitivity_from_timeseries(np.ones(500), 1e-9, 1e-3)
+            sensitivity_from_timeseries(np.ones(500, int), _signs(500), 1e-9, 1e-3)
 
     def test_zero_variance_prefix_degenerate(self):
-        # the first window is constant although the whole series is not;
-        # it used to report eta = 0, a perfect sensitivity
-        x = np.concatenate([np.ones(150), 1.0 + self._shots(0.0, 0.5, 5000)])
+        # the first window's outcomes are constant although the whole series'
+        # are not: its counts are the run mean 20 plus 3 times the sign; this
+        # used to report eta = 0, a perfect sensitivity
+        signs = _signs(5150)
+        noise = np.rint(np.random.default_rng(0).normal(0.0, 5.0, 2500))
+        counts = 20 + 3 * signs + np.concatenate([np.zeros(150), noise, -noise])
+        counts = counts.astype(int)
+        assert counts.sum() == 20 * len(counts)
         with pytest.raises(NumericalError, match="zero-variance"):
-            sensitivity_from_timeseries(x, 1e-9, 1e-3)
+            sensitivity_from_timeseries(counts, signs, 1e-9, 1e-3)
 
     def test_too_few_shots(self):
         with pytest.raises(ValueError):
-            sensitivity_from_timeseries(np.ones(50), 1e-9, 1e-3)
+            sensitivity_from_timeseries(np.ones(50, int), _signs(50), 1e-9, 1e-3)
+
+    def test_unequal_lengths_rejected(self):
+        counts, signs = self._shots(25.0, 10.0, 1000)
+        with pytest.raises(ValueError, match="equally long"):
+            sensitivity_from_timeseries(counts, signs[:-1], 1e-9, 1e-3)
+
+    def test_non_integer_counts_rejected(self):
+        counts, signs = self._shots(25.0, 10.0, 1000)
+        with pytest.raises(ValueError, match="counts must be integers"):
+            sensitivity_from_timeseries(counts.astype(float), signs, 1e-9, 1e-3)
+
+    @pytest.mark.parametrize("bad", [0, 2, -3])
+    @pytest.mark.parametrize("at", [0, 999, 70000])
+    def test_sign_other_than_plus_minus_one_rejected(self, bad, at):
+        # the first shot, the last one and one in a later int64 slice
+        counts, signs = self._shots(25.0, 10.0, max(1000, at + 1))
+        signs[at] = bad
+        with pytest.raises(ValueError, match="signs must be"):
+            sensitivity_from_timeseries(counts, signs, 1e-9, 1e-3)
+
+    def test_counts_beyond_the_exact_range_rejected(self):
+        counts, signs = self._shots(25.0, 10.0, 1000)
+        counts[7] = 2**23
+        with pytest.raises(ValueError, match="2\\*\\*23"):
+            sensitivity_from_timeseries(counts, signs, 1e-9, 1e-3)
+
+
+class TestSensitivityAgainstReferences:
+    """The exact window sums against the float64 formulation they replaced
+    and against the definition in rational arithmetic."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_float64_outcomes_at_full_length(self, seed):
+        # the float64 curve's own rounding reaches 1.3e-14 (seed 2) here
+        config = nv3_config()
+        run = run_experiment(config, 1e-9, 1_200_000, seed=seed, workers=2)
+        times, eta, asym = sensitivity_from_timeseries(
+            run.photons, run.signs, 1e-9, config.shot_duration
+        )
+        ref_times, ref_eta, ref_asym = eta_from_outcomes(
+            demodulate(run.photons, run.signs), 1e-9, config.shot_duration
+        )
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_allclose(eta, ref_eta, rtol=1e-12, atol=0)
+        assert asym == pytest.approx(ref_asym, rel=1e-12)
+
+    def test_within_two_ulp_of_rational_arithmetic(self):
+        config = nv3_config()
+        run = run_experiment(config, 1e-9, 5000, seed=11)
+        times, eta, _ = sensitivity_from_timeseries(
+            run.photons, run.signs, 1e-9, config.shot_duration
+        )
+        ref = eta_exact(run.photons, run.signs, 1e-9, times)
+        ulps = np.abs(eta - ref) / np.array([math.ulp(v) for v in ref])
+        assert np.max(ulps) <= 2
 
 
 class TestErlCompute:
