@@ -358,20 +358,22 @@ def sense(run):
         volts=("applied AWG voltage (V)", volts),
         mean_photons=("mean readout photons per shot", counts),
     )
-    fringe = fit_fringe(volts, counts, config.budget.t_c)
-
     # the shot table is the one output that grows with n_shots: it is
-    # written block by block, and eta(t) is summed from the 4-byte record
+    # written block by block, and eta(t) is summed from the 4-byte record.
+    # The record and its transients are released before the fringe fit first
+    # loads scipy, so the peak RSS is scipy's, whatever the shot count
     shots = run_experiment(config, signal, n_shots, seed=run.seed, workers=run.threads)
     run.text("shots.csv", shots.csv_blocks())
     times, eta, asym = sensitivity_from_timeseries(
         shots.photons, shots.signs, signal, config.shot_duration
     )
+    del shots
     run.plot(
         "eta_vs_time",
         averaging_time_s=("averaging time (s)", times),
         eta_t_per_sqrt_hz=("sensitivity (T/sqrt(Hz))", eta),
     )
+    fringe = fit_fringe(volts, counts, config.budget.t_c)
     budget = json.loads(config.budget.to_json())
     budget["eta_asymptote_t_per_sqrt_hz"] = asym
     budget["fitted_b_v_t_per_v"] = fringe.b_v

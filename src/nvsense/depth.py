@@ -188,28 +188,12 @@ def fit_depth(data: DepthDataset) -> DepthFit:
     cube-root factor. A fit that ends within 1e-6 (relative) of a bound, or
     whose depth sigma is not below the depth, is refused.
     """
-    from scipy.optimize import minimize_scalar
-
     if np.min(data.coherence) >= 0.95:
         raise NumericalError("no visible dip (min coherence >= 0.95)")
     omega_l = GAMMA_H * data.b0
     taus = data.taus
     c_obs = data.coherence
     weights = 1.0 / data.sigma if np.all(data.sigma > 0) else np.ones_like(taus)
-
-    # C = exp(-q K(lambda, tau)) with q = (2/pi^2) gamma_e^2 B_RMS^2; the
-    # depth enters only through q (as rho / d^3), so the problem splits into
-    # an outer 1-D search over the linewidth and an inner 1-D amplitude fit
-    def amplitude_cost(k):
-        logc = -np.log(np.clip(c_obs, 1e-6, None))
-        denom = float(np.sum(weights**2 * k**2))
-        q0 = max(float(np.sum(weights**2 * k * logc)) / denom, 0.0)
-        res = minimize_scalar(
-            lambda q: float(np.sum((weights * (np.exp(-q * k) - c_obs)) ** 2)),
-            bounds=(0.0, 50.0 * max(q0, 1e-12)),
-            method="bounded",
-        )
-        return float(res.x), float(res.fun)
 
     # bounds on (depth in nm, linewidth in rad/s). The polish works in nm and
     # log rad/s, both of order 10: its finite-difference steps (relative to a
@@ -218,9 +202,15 @@ def fit_depth(data: DepthDataset) -> DepthFit:
     lo, hi = np.array([1.0, 1e3]), np.array([500.0, 1e7])
     lam_grid = np.geomspace(lo[1], hi[1], 25)
     k_scan = _overlap_k(data.n_pulses, taus, omega_l, lam_grid[:, None])
-    scans = [amplitude_cost(k) for k in k_scan]
-    i_best = int(np.argmin([cost for _, cost in scans]))
-    q_best = scans[i_best][0]
+    # C = exp(-q K(lambda, tau)) with q = (2/pi^2) gamma_e^2 B_RMS^2; the
+    # depth enters only through q (as rho / d^3), so the start is a scan over
+    # the linewidth, each point with the q that fits -log C = q K by weighted
+    # least squares in closed form; the polish below refines both
+    w2, logc = weights**2, -np.log(np.clip(c_obs, 1e-6, None))
+    q_scan = np.maximum((k_scan * logc) @ w2 / (k_scan**2 @ w2), 0.0)
+    cost = (np.exp(-q_scan[:, None] * k_scan) - c_obs) ** 2 @ w2
+    i_best = int(np.argmin(cost))
+    q_best = float(q_scan[i_best])
     lam_best = float(lam_grid[i_best])
     unit = ProtonBathModel(rho=data.rho, d_nv=1e-9)
     q_per_nm3 = (2 / np.pi**2) * GAMMA_E**2 * b_rms_squared(unit)

@@ -85,8 +85,10 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     """Least-squares fringe fit returning the field-per-volt coefficient.
 
     Raises NumericalError when the voltage sweep covers less than one full
-    fringe period (the coefficient is ambiguous), when the fringe has no
-    contrast, or when the fit does not converge.
+    fringe period (the coefficient is ambiguous), when the fitted sinusoid
+    leaves no smaller residual sum of squares than a parabola through the
+    same points (the sweep resolves no period, whatever k the fit reports),
+    when the fringe has no contrast, or when the fit does not converge.
     """
     volts = np.asarray(volts, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -124,6 +126,15 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
         raise NumericalError(
             "voltage sweep covers less than one fringe period; "
             "the field-per-volt coefficient is ambiguous"
+        )
+    # a sweep shorter than a period can be fitted with a spurious k that passes
+    # the check above; on it a parabola does as well as the sinusoid
+    rss = np.sum((counts - model(volts, *popt)) ** 2)
+    parabola = np.polyval(np.polyfit(volts, counts, 2), volts)
+    if rss >= np.sum((counts - parabola) ** 2):
+        raise NumericalError(
+            "fitted fringe leaves no smaller residual than a parabola; "
+            "the voltage sweep does not resolve a fringe period"
         )
     return FringeFit(
         a=float(a), b_v=float(k / (GAMMA_E * t_interrogation)), phi=float(phi)

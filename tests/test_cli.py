@@ -39,8 +39,8 @@ GRAPE_DIGESTS = {
     "grape_summary.json": "50b107572d8bbd6f5d8980bc6be39daf51715f7ddd9ad4e87c2fb728dafe918a",
 }
 DEPTH_DIGESTS = {
-    "depth_report.json": "59f51f1beb3668423eed50548710ecb885670a998f0e79a488008fbf65a71fcb",
-    "depth_fit_curve.csv": "9005889c1b86fc0ad3c21c6f984825063e1c82ca4abb3b861b30dc8cf87cc7e6",
+    "depth_report.json": "4df61282feca67b7f5addd8700334229f16571b34e4086df50f733c5af1330b0",
+    "depth_fit_curve.csv": "54888915973ca1f1cbcef6e02ed41a50286b5beb342019164f83f1cb12d394f3",
 }
 # SHA-256 of `--seed 0 gen noise` (noise_bundle) and of `noise` on it; a
 # rewrite of the comb or of the inversion must change no output bit
@@ -594,6 +594,74 @@ class TestSenseCommand:
         out = tmp_path / "out"
         run_cli("--seed", 6, "--config", cfg, "--out", out, "sense")
         assert digests(out, SENSE_DIGESTS) == SENSE_DIGESTS
+
+    def test_shot_phase_runs_before_scipy_loads(self, tmp_path):
+        """The shots and eta(t) are done before the fringe fit first imports
+        scipy, so the shot record never sits on top of scipy's memory."""
+        argv = ["--out", str(tmp_path), "sense"]
+        code = (
+            "import sys\n"
+            "import nvsense.cli as cli\n"
+            "seen = []\n"
+            "def watch(f):\n"
+            "    def wrapped(*args, **kwargs):\n"
+            "        result = f(*args, **kwargs)\n"
+            "        seen.append('scipy' in sys.modules)\n"
+            "        return result\n"
+            "    return wrapped\n"
+            "cli.run_experiment = watch(cli.run_experiment)\n"
+            "cli.sensitivity_from_timeseries = watch(cli.sensitivity_from_timeseries)\n"
+            f"cli.main({argv!r}, standalone_mode=False)\n"
+            "print(seen)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "[False, False]"
+        budget = json.loads((tmp_path / "budget.json").read_text())
+        assert budget["fitted_b_v_t_per_v"] == pytest.approx(112e-9, rel=0.05)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="no /proc/self/status"
+    )
+    def test_peak_rss_does_not_grow_with_the_shot_count(self, tmp_path):
+        """Ten times the shots leave the peak RSS of one sense process
+        within 2 MB: the shot phase peaks below the fit's scipy import.
+        The peak is VmHWM, which exec resets; a child's ru_maxrss keeps
+        the RSS of the process that started it, here the test runner's."""
+
+        def peak_mb(n_shots):
+            cfg = tmp_path / f"cfg{n_shots}.json"
+            cfg.write_text(json.dumps({"n_shots": n_shots}))
+            argv = ["--threads", "2", "--config", str(cfg)]
+            argv += ["--out", str(tmp_path / str(n_shots)), "sense"]
+            code = (
+                "from nvsense.cli import main\n"
+                f"main({argv!r}, standalone_mode=False)\n"
+                "print(next(line.split()[1] for line in open('/proc/self/status')"
+                " if line.startswith('VmHWM:')))\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            )
+            return int(proc.stdout.splitlines()[-1]) / 1024
+
+        small, large = peak_mb(120_000), peak_mb(1_200_000)
+        assert large - small < 2.0, f"{small:.1f} MB -> {large:.1f} MB"
+
+    def test_sweep_under_a_period_exits_4_after_the_shot_outputs(self, tmp_path):
+        """A fringe fit that fails runs after the shot table and eta(t) are
+        written; the run exits 4 with one error line and writes no manifest."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_shots": 2000, "volts": [0.0, 0.05, 8]}))
+        out = tmp_path / "out"
+        proc = run_cli("--config", cfg, "--out", out, "sense", check=False)
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: fitted fringe leaves no smaller residual")
+        assert not (out / "manifest.json").exists()
+        assert not (out / "budget.json").exists()
+        assert (out / "shots.csv").exists() and (out / "eta_vs_time.csv").exists()
 
     def test_zero_shots_per_point_names_its_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

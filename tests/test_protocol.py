@@ -353,6 +353,17 @@ class TestFringeRoundTrip:
         fit = fit_fringe(v, counts, cfg.budget.t_c)
         assert fit.b_v == pytest.approx(cfg.b_v, rel=0.03)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("points", [8, 25])
+    def test_sweep_under_a_period_is_refused(self, points, seed):
+        # 0.05 V is 0.28 of a fringe period; the fit can still report a k
+        # spanning a period, but no better than a parabola does
+        cfg = nv3_config()
+        volts = np.linspace(0.0, 0.05, points)
+        v, counts = simulate_fringe(cfg, volts, shots_per_point=1000, seed=seed)
+        with pytest.raises(NumericalError, match="no smaller residual than a parabola"):
+            fit_fringe(v, counts, cfg.budget.t_c)
+
     def test_point_draws_the_streams_of_run_experiment(self):
         # at zero field the chop sign does nothing, so point i of the fringe
         # is the mean of a run_experiment on seed + i, across a batch edge
