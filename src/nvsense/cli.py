@@ -374,7 +374,7 @@ def sense(run):
         eta_t_per_sqrt_hz=("sensitivity (T/sqrt(Hz))", eta),
     )
     fringe = fit_fringe(volts, counts, config.budget.t_c)
-    budget = json.loads(config.budget.to_json())
+    budget = config.budget.as_dict()
     budget["eta_asymptote_t_per_sqrt_hz"] = asym
     budget["fitted_b_v_t_per_v"] = fringe.b_v
     budget["configured_b_v_t_per_v"] = config.b_v

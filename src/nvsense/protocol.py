@@ -8,7 +8,6 @@ batch, so results are bit-identical regardless of how batches are
 distributed over workers.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -115,7 +114,7 @@ def simulate_charge_init(
             model, rng, sl.stop - sl.start
         )
         acc_n += int(np.count_nonzero(accepted))
-        minus_n += int(np.count_nonzero(is_minus & accepted))
+        minus_n += int(np.count_nonzero(is_minus))
         cyc_hist += np.bincount(
             cycles[accepted], minlength=model.max_cycles + 1
         )
@@ -236,29 +235,14 @@ class ProtocolConfig:
     def shot_duration(self) -> float:
         return self.budget.t_c + self.budget.t_ir
 
-    def descriptor(self) -> dict:
-        return {
-            "sequence": self.sequence.descriptor(),
-            "t_c_s": self.budget.t_c,
-            "t_ir_s": self.budget.t_ir,
-            "c": self.budget.c,
-            "f_i": self.budget.f_i,
-            "b_v_t_per_v": self.b_v,
-            "readout_cycles": self.readout.n_cycles,
-        }
-
 
 @dataclass
 class ExperimentRun:
     """Shot-level record of one simulated run."""
 
-    seed: int
-    config: dict  # descriptor of the ProtocolConfig
-    signal: float  # chopped amplitude, T
     signs: np.ndarray  # int8 +-1 chop sign per shot
     init_cycles: np.ndarray  # feedback cycles used per shot, narrowest unsigned
     photons: np.ndarray  # summed readout photons per shot, narrowest unsigned
-    shot_duration: float
 
     def csv_blocks(self):
         """The shot table as ``tables.table_blocks`` yields it, block by block."""
@@ -272,19 +256,6 @@ class ExperimentRun:
 
     def to_csv(self) -> str:
         return "".join(self.csv_blocks())
-
-    def summary_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "config": self.config,
-                "signal_t": self.signal,
-                "n_shots": len(self.photons),
-                "shot_duration_s": self.shot_duration,
-                "mean_photons": float(np.mean(self.photons)),
-            },
-            sort_keys=True,
-        )
 
 
 def _experiment_batch(config: ProtocolConfig, signal, rng, m):
@@ -345,15 +316,7 @@ def run_experiment(
                     f"bound of {bound}"
                 )
             photons[sl] = pho
-    return ExperimentRun(
-        seed=seed,
-        config=config.descriptor(),
-        signal=signal,
-        signs=signs,
-        init_cycles=init_cycles,
-        photons=photons,
-        shot_duration=config.shot_duration,
-    )
+    return ExperimentRun(signs, init_cycles, photons)
 
 
 def nv3_config() -> ProtocolConfig:

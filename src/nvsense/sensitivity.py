@@ -15,7 +15,6 @@ quoted in units of hbar.
 """
 
 import importlib.resources
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,19 +46,16 @@ class SensitivityBudget:
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t_c_s": self.t_c,
-                "c": self.c,
-                "f_i": self.f_i,
-                "f_r": self.f_r,
-                "t_ir_s": self.t_ir,
-                "gamma_e_rad_s_t": self.gamma_e,
-                "eta_t_per_sqrt_hz": eta_from_budget(self),
-            },
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        return {
+            "t_c_s": self.t_c,
+            "c": self.c,
+            "f_i": self.f_i,
+            "f_r": self.f_r,
+            "t_ir_s": self.t_ir,
+            "gamma_e_rad_s_t": self.gamma_e,
+            "eta_t_per_sqrt_hz": eta_from_budget(self),
+        }
 
 
 def eta_from_budget(b: SensitivityBudget) -> float:

@@ -54,9 +54,6 @@ class DDSequence:
         """Passband center pi N / T in rad/s."""
         return np.pi * self.n_pulses / self.total_time
 
-    def descriptor(self) -> dict:
-        return {"family": self.family, "n_pulses": self.n_pulses}
-
 
 def filter_delta_comb(seq: DDSequence, k_max: int):
     """Delta-comb approximation: the odd harmonics (2k+1) omega_0 and their

@@ -21,6 +21,9 @@ comb, and these slower, more direct forms check them.
   window sums.
 - ``eta_exact``: the same curve from the definition in rational arithmetic,
   two passes over each window and a 40-digit square root.
+- ``eta_model``: the protocol's sensitivity from the closed-form mean and
+  variance of a shot's outcome, the reference for the asymptote of
+  ``run_experiment`` fed through ``sensitivity_from_timeseries``.
 """
 
 import math
@@ -31,6 +34,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import pdtr, pdtrc
+from scipy.stats import poisson
 
 from nvsense.constants import GAMMA_E
 
@@ -249,3 +253,36 @@ def eta_exact(counts, signs, signal_amplitude, times):
         root = digits.sqrt(digits.divide(eta2.numerator, eta2.denominator))
         out.append(float(root))
     return np.array(out)
+
+
+def eta_model(config, signal):
+    """The protocol's sensitivity in T/sqrt(Hz) from its charge,
+    readout-chain and Poisson models, for a chop of amplitude ``signal``.
+
+    A shot is accepted with P_acc = 1 - (1 - p_acc)^max_cycles, p_acc the
+    per-cycle chance that the charge readout reaches the threshold, so the
+    chop sets the nuclear start spin to a mean of +-eps with
+    eps = c f_i P_acc sin(gamma_e B t_c). Readout cycle i keeps that start
+    with correlation r^i, r = 1 - 2q, so the mean outcome is
+    (mu_1 - mu_0) eps S / 2 with S = sum_i r^i. Its variance is the Poisson
+    mean n (mu_0 + mu_1) / 2 plus (mu_1 - mu_0)^2 / 4 times the variance of
+    the summed spin, sum_ij r^|i-j| - (eps S)^2; the last term is the
+    square of the mean outcome. eta = B sqrt(t_shot) sd / mean.
+    """
+    charge, chain, budget = config.charge, config.readout, config.budget
+    f = charge.equilibrium_fraction
+    tails = poisson.sf(
+        charge.threshold - 1, [charge.mean_photons_minus, charge.mean_photons_zero]
+    )
+    p_acc = f * tails[0] + (1 - f) * tails[1]
+    accepted = 1 - (1 - p_acc) ** charge.max_cycles
+    eps = budget.c * budget.f_i * accepted
+    eps *= math.sin(budget.gamma_e * signal * budget.t_c)
+    n, r = chain.n_cycles, 1 - 2 * chain.flip_probability
+    lag = np.arange(1, n)
+    pairs = n + 2 * float(np.sum((n - lag) * r**lag))
+    dmu = chain.mean_photons_one - chain.mean_photons_zero
+    mean = dmu * eps * float(np.sum(r ** np.arange(n))) / 2
+    var = n * (chain.mean_photons_zero + chain.mean_photons_one) / 2
+    var += dmu**2 / 4 * pairs - mean**2
+    return signal * math.sqrt(config.shot_duration * var) / mean

@@ -218,7 +218,8 @@ class TestCriterion9Determinism:
         a = run_experiment(config, 1e-9, 30000, seed=6)
         b = run_experiment(config, 1e-9, 30000, seed=6)
         assert a.to_csv() == b.to_csv()
-        assert a.summary_json() == b.summary_json()
+        for name in ("signs", "init_cycles", "photons"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_multi_worker_matches_serial(self):
         config = nv3_config()

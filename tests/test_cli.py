@@ -154,7 +154,17 @@ class TestBasics:
         for name, cmd in steps.items():
             assert callable(cmd.callback), name
 
-    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy"])
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "scipy.stats",
+            "scipy.integrate",
+            "scipy",
+            "concurrent.futures",
+            "fractions",
+            "importlib.metadata",
+        ],
+    )
     def test_import_leaves_module_out(self, module):
         code = f"import sys, nvsense.cli; print({module!r} in sys.modules)"
         proc = subprocess.run(

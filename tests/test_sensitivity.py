@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -77,7 +76,7 @@ class TestEtaFromBudget:
             SensitivityBudget(t_c=1e-3, c=1.2, f_i=0.9, f_r=0.9, t_ir=0.0)
 
     def test_json_round_trip(self):
-        d = json.loads(NV3_BUDGET.to_json())
+        d = NV3_BUDGET.as_dict()
         back = SensitivityBudget(
             t_c=d["t_c_s"],
             c=d["c"],
