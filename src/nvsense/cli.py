@@ -315,14 +315,20 @@ def grape(run, problem_json):
     return f"fidelity {result.fidelity:.6f} converged={result.converged}"
 
 
-def _sense_settings(cfg: dict) -> tuple:
+def _sense_settings(cfg: dict, config) -> tuple:
     """(signal_t, n_shots, fringe volts, shots_per_point) of a ``sense``
     config, defaults filled in. Every key is checked here, before anything
     is simulated or written; a bad value raises ``InputError`` naming its
-    key, which the CLI prefixes with the config's path."""
+    key, which the CLI prefixes with the config's path. A field whose phase
+    gamma_e B t_c under the protocol ``config`` is not finite is refused:
+    its sine, and every count drawn from it, would be NaN."""
+    gamma_e, t_c = config.budget.gamma_e, config.budget.t_c
     signal = as_float(cfg.get("signal_t", 1e-9), "signal_t")
     if signal <= 0:
         raise InputError(f"signal_t must be > 0, got {signal!r}")
+    # each phase is formed as the protocol forms it, so the test is exact
+    if not np.isfinite(gamma_e * signal * t_c):
+        raise InputError(f"signal_t gives a phase that is not finite, got {signal!r}")
     n_shots = as_int(cfg.get("n_shots", 120000), "n_shots")
     if n_shots < 100:  # the shortest averaging window of eta(t)
         raise InputError(f"n_shots must be >= 100, got {n_shots}")
@@ -335,10 +341,15 @@ def _sense_settings(cfg: dict) -> tuple:
         raise InputError(
             f"volts must be [lo, hi, count] with lo != hi and count >= 8, got {volts!r}"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, count)
+        phases = gamma_e * (config.b_v * grid) * t_c
+    if not np.all(np.isfinite(phases)):
+        raise InputError(f"volts give phases that are not finite, got {volts!r}")
     shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
     if shots_per_point < 1:
         raise InputError(f"shots_per_point must be >= 1, got {shots_per_point}")
-    return signal, n_shots, np.linspace(lo, hi, count), shots_per_point
+    return signal, n_shots, grid, shots_per_point
 
 
 @main.command()
@@ -347,8 +358,8 @@ def sense(run):
     """Simulate a magnetometry run: fringe, sensitivity curve, budget."""
     # ``{**...}`` makes a config that is not a JSON object a TypeError
     cfg = {**load_json(run.input(run.config))} if run.config else {}
-    signal, n_shots, volts, shots_per_point = _sense_settings(cfg)
     config = nv3_config()
+    signal, n_shots, volts, shots_per_point = _sense_settings(cfg, config)
 
     volts, counts = simulate_fringe(
         config, volts, shots_per_point=shots_per_point, seed=run.seed

@@ -5,7 +5,9 @@ shot noise.
 
 Randomness uses counter-based Philox streams keyed per fixed-size shot
 batch, so results are bit-identical regardless of how batches are
-distributed over workers.
+distributed over workers. ``run_experiment``'s calling thread is worker 0;
+``workers=N`` adds N - 1 helper threads, and each worker writes its batches
+straight into the shot record.
 """
 
 import math
@@ -21,10 +23,12 @@ from .tables import table_blocks
 BATCH_SIZE = 4096
 
 
-def _batches(n: int, seed: int):
-    """Each fixed-size batch of ``n`` draws: its slice of the draws and its
-    own Philox stream, keyed by the seed and the batch index."""
-    for batch, lo in enumerate(range(0, n, BATCH_SIZE)):
+def _batches(n: int, seed: int, first: int = 0, step: int = 1):
+    """Every ``step``-th fixed-size batch of ``n`` draws from batch ``first``:
+    its slice of the draws and its own Philox stream, keyed by the seed and
+    the batch index."""
+    for batch in range(first, -(-n // BATCH_SIZE), step):
+        lo = batch * BATCH_SIZE
         rng = np.random.Generator(np.random.Philox(key=[seed, batch]))
         yield slice(lo, min(lo + BATCH_SIZE, n)), rng
 
@@ -288,34 +292,48 @@ def run_experiment(
     owns an independent counter-based stream, so any ``workers`` count
     produces identical results.
 
+    The calling thread is worker 0 and ``workers - 1`` helper threads join
+    it, none for ``workers=1``. Worker i simulates batches i, i + workers,
+    ... and writes each into the record as soon as it is drawn, so no batch
+    waits in a queue. The batch kernels' large numpy draws release the
+    interpreter lock, which is what a helper thread overlaps.
+
     ``photons`` is stored in the narrowest unsigned dtype that holds
     ``photon_bound(config.readout)``; a batch that draws beyond it raises
     ``NumericalError`` rather than wrap.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     signs = np.ones(n_shots, dtype=np.int8)
     signs[1::2] = -1
     init_cycles = np.empty(n_shots, np.min_scalar_type(config.charge.max_cycles))
     bound = photon_bound(config.readout)
     photons = np.empty(n_shots, np.min_scalar_type(bound))
 
-    def one_batch(batch):
-        sl, rng = batch
-        m = sl.stop - sl.start
-        return sl, _experiment_batch(config, signal * signs[sl], rng, m)
-
-    from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for sl, (cycles, pho) in pool.map(one_batch, _batches(n_shots, seed)):
-            init_cycles[sl] = cycles
+    def work(first):
+        for sl, rng in _batches(n_shots, seed, first, workers):
+            m = sl.stop - sl.start
+            cycles, pho = _experiment_batch(config, signal * signs[sl], rng, m)
             if pho.max() > bound:
                 raise NumericalError(
                     f"a shot drew {pho.max()} photons, beyond the record's "
                     f"bound of {bound}"
                 )
+            init_cycles[sl] = cycles
             photons[sl] = pho
+
+    if workers == 1:
+        work(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up
+
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(work, first) for first in range(1, workers)]
+            work(0)
+            for helper in helpers:
+                helper.result()
     return ExperimentRun(signs, init_cycles, photons)
 
 

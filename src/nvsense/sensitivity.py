@@ -85,6 +85,14 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     leaves no smaller residual sum of squares than a parabola through the
     same points (the sweep resolves no period, whatever k the fit reports),
     when the fringe has no contrast, or when the fit does not converge.
+
+    The parabola is the projection of the counts onto the Vandermonde
+    matrix with unit-norm columns that ``np.polyfit`` would build, through
+    ``scipy.linalg.qr``: that is the LAPACK the fringe fit has already
+    loaded, where ``np.polyfit`` would load numpy's own beside it. A sweep
+    whose columns do not scale to finite numbers (a voltage whose square or
+    fourth power leaves the float range, such as 1e-100 V) raises ValueError
+    before anything is fitted.
     """
     volts = np.asarray(volts, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -95,6 +103,16 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     span = volts.max() - volts.min()
     if span <= 0:
         raise ValueError("voltage sweep has zero span")
+    # the parabola check's matrix, with unit-norm columns as np.polyfit scales it
+    with np.errstate(over="ignore"):
+        vander = np.vander(volts, 3)
+        scale = np.sqrt(np.sum(vander * vander, axis=0))
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        lo, hi = float(volts.min()), float(volts.max())
+        raise ValueError(
+            f"voltage sweep from {lo!r} to {hi!r} V cannot be checked against "
+            "a parabola: its voltages' powers leave the float range"
+        )
 
     c0 = float(np.mean(counts))
     a0 = float(np.sqrt(2.0) * np.std(counts))
@@ -125,8 +143,11 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
         )
     # a sweep shorter than a period can be fitted with a spurious k that passes
     # the check above; on it a parabola does as well as the sinusoid
+    from scipy.linalg import qr
+
+    q, _ = qr(vander / scale, mode="economic")
+    parabola = q @ (q.T @ counts)
     rss = np.sum((counts - model(volts, *popt)) ** 2)
-    parabola = np.polyval(np.polyfit(volts, counts, 2), volts)
     if rss >= np.sum((counts - parabola) ** 2):
         raise NumericalError(
             "fitted fringe leaves no smaller residual than a parabola; "

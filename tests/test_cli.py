@@ -569,16 +569,20 @@ class TestManifest:
         assert RunManifest.from_json(MANIFEST_TEXT) == manifest
 
 
-# a `sense` config edit whose value is refused, and the key its error names
+# a `sense` config edit whose value is refused, and the key its error names;
+# a field whose phase gamma_e B t_c is not finite is refused too
 BAD_SENSE_CONFIGS = {
     "signal-zero": ("signal_t", {"signal_t": 0}),
     "signal-text": ("signal_t", {"signal_t": "1e-9"}),
+    "signal-phase-overflow": ("signal_t", {"signal_t": 1e308}),
     "n-shots-50": ("n_shots", {"n_shots": 50}),
     "volts-two-values": ("volts", {"volts": [0, 0.4]}),
     "volts-text": ("volts", {"volts": "abc"}),
     "volts-zero-span": ("volts", {"volts": [0.2, 0.2, 25]}),
     "volts-seven-points": ("volts", {"volts": [0.0, 0.4, 7]}),
     "volts-count-fractional": ("volts count", {"volts": [0.0, 0.4, 12.5]}),
+    "volts-span-overflow": ("volts", {"volts": [-1.7e308, 1.7e308, 8]}),
+    "volts-phase-overflow": ("volts", {"volts": [0, 1e308, 8]}),
     "shots-per-point-zero": ("shots_per_point", {"shots_per_point": 0}),
 }
 
@@ -598,16 +602,20 @@ class TestSenseCommand:
         assert (tmp_path / "fringe.csv").exists()
         assert (tmp_path / "shots.csv").exists()
 
-    def test_outputs_keep_their_digests(self, tmp_path):
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_outputs_keep_their_digests(self, threads, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_shots": 30000}))
         out = tmp_path / "out"
-        run_cli("--seed", 6, "--config", cfg, "--out", out, "sense")
+        run_cli("--seed", 6, "--threads", threads, "--config", cfg, "--out", out, "sense")
         assert digests(out, SENSE_DIGESTS) == SENSE_DIGESTS
 
     def test_shot_phase_runs_before_scipy_loads(self, tmp_path):
         """The shots and eta(t) are done before the fringe fit first imports
-        scipy, so the shot record never sits on top of scipy's memory."""
+        scipy, so the shot record never sits on top of scipy's memory; with
+        the default --threads 1 the Monte Carlo runs on the calling thread
+        and loads no thread pool. (scipy's own import loads
+        concurrent.futures later, through numpy.testing.)"""
         argv = ["--out", str(tmp_path), "sense"]
         code = (
             "import sys\n"
@@ -616,7 +624,7 @@ class TestSenseCommand:
             "def watch(f):\n"
             "    def wrapped(*args, **kwargs):\n"
             "        result = f(*args, **kwargs)\n"
-            "        seen.append('scipy' in sys.modules)\n"
+            "        seen.append([m in sys.modules for m in ('scipy', 'concurrent.futures')])\n"
             "        return result\n"
             "    return wrapped\n"
             "cli.run_experiment = watch(cli.run_experiment)\n"
@@ -627,9 +635,34 @@ class TestSenseCommand:
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.splitlines()[-1] == "[False, False]"
+        assert proc.stdout.splitlines()[-1] == "[[False, False], [False, False]]"
         budget = json.loads((tmp_path / "budget.json").read_text())
         assert budget["fitted_b_v_t_per_v"] == pytest.approx(112e-9, rel=0.05)
+
+    @pytest.mark.parametrize("threads, helpers", [(1, 0), (3, 2)])
+    def test_calling_thread_is_the_first_worker(self, threads, helpers, tmp_path):
+        """--threads N runs the Monte Carlo on the calling thread and N - 1
+        helper threads, which are the only threads sense starts."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_SENSE))
+        argv = ["--threads", str(threads), "--config", str(cfg)]
+        argv += ["--out", str(tmp_path / "out"), "sense"]
+        code = (
+            "import threading\n"
+            "from nvsense.cli import main\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "def counted(self):\n"
+            "    started.append(self)\n"
+            "    start(self)\n"
+            "threading.Thread.start = counted\n"
+            f"main({argv!r}, standalone_mode=False)\n"
+            "print(len(started))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert int(proc.stdout.splitlines()[-1]) == helpers
 
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="no /proc/self/status"
@@ -672,6 +705,20 @@ class TestSenseCommand:
         assert not (out / "manifest.json").exists()
         assert not (out / "budget.json").exists()
         assert (out / "shots.csv").exists() and (out / "eta_vs_time.csv").exists()
+
+    def test_sweep_beyond_the_parabola_scaling_exits_3_with_one_line(self, tmp_path):
+        """At 1e-100 V a voltage's fourth power underflows, so the parabola
+        check's scaled Vandermonde matrix is not finite: the fit refuses the
+        sweep, naming it, with no LAPACK or numpy line before the error."""
+        cfg = tmp_path / "cfg.json"
+        edit = {"n_shots": 2000, "shots_per_point": 100, "volts": [0, 1e-100, 8]}
+        cfg.write_text(json.dumps(edit))
+        out = tmp_path / "out"
+        proc = run_cli("--config", cfg, "--out", out, "sense", check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: voltage sweep from 0.0 to 1e-100 V ")
+        assert not (out / "manifest.json").exists()
 
     def test_zero_shots_per_point_names_its_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -340,6 +341,40 @@ class TestRunExperiment:
         with pytest.raises(NumericalError, match="681 photons"):
             run_experiment(cfg, 1e-9, 5000, seed=8)
 
+    def test_workers_beyond_the_cores_write_the_serial_record(self):
+        # five workers stride over 13 batches, the last one short, into
+        # disjoint slices of the record; thread switches are forced often
+        cfg = nv3_config()
+        n = 12 * BATCH_SIZE + 7
+        serial = run_experiment(cfg, 1e-9, n, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_experiment(cfg, 1e-9, n, seed=3, workers=5)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("signs", "init_cycles", "photons"):
+            np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_holds_little_beyond_its_record(self, workers):
+        # each worker writes a batch into the record as soon as it is drawn,
+        # so beyond the 4.8 MB record a run holds about one batch's
+        # temporaries per worker. Over seeds 0-11 the excess read 0.45-0.46
+        # MB with one worker and 0.88-0.90 MB with two; a pool whose workers
+        # queued their batches for the calling thread read 2.5-2.9 and
+        # 1.5-5.1 MB
+        cfg = nv3_config()
+        run_experiment(cfg, 1e-9, 20_000, seed=0, workers=workers)  # lazy imports
+        tracemalloc.start()
+        try:
+            run = run_experiment(cfg, 1e-9, 1_200_000, seed=7, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = run.signs.nbytes + run.init_cycles.nbytes + run.photons.nbytes
+        assert peak - record < 0.6e6 * workers
+
     def test_csv_shape(self):
         cfg = nv3_config()
         run = run_experiment(cfg, 1e-9, 100, seed=4)
@@ -366,6 +401,13 @@ class TestFringeRoundTrip:
         v, counts = simulate_fringe(cfg, volts, shots_per_point=1000, seed=seed)
         with pytest.raises(NumericalError, match="no smaller residual than a parabola"):
             fit_fringe(v, counts, cfg.budget.t_c)
+
+    @pytest.mark.parametrize("top", [1e-100, 1e160], ids=["fourth-power-underflows", "square-overflows"])
+    def test_sweep_the_parabola_cannot_scale_is_refused(self, top):
+        volts = np.linspace(0.0, top, 8)
+        counts = 1.0 + np.sin(np.arange(8.0))
+        with pytest.raises(ValueError, match="cannot be checked against a parabola"):
+            fit_fringe(volts, counts, 1.8e-3)
 
     def test_point_draws_the_streams_of_run_experiment(self):
         # at zero field the chop sign does nothing, so point i of the fringe
