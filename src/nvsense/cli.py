@@ -14,11 +14,14 @@ its table does not allow or a table value its dataset refuses
 command is not a list of strings or is itself a ``rerun``, or a recorded
 input that is missing or changed), 4 numerical failure
 (``errors.NumericalError`` or any other ``ArithmeticError``).
+
+A standalone process (the ``nvsense`` script, ``python -m nvsense``) ends
+with ``os._exit`` as soon as its exit code is known and its streams are
+flushed, so it skips exit handlers and interpreter finalization; an
+in-process call of ``main`` keeps click's normal return or ``SystemExit``.
 """
 
-import atexit
 import functools
-import gc
 import json
 import os
 import sys
@@ -30,10 +33,6 @@ from pathlib import Path
 # to split, and idle workers of the pools numpy and scipy each load spin on the
 # CPUs. A value the user has set is kept. Library users' processes are untouched.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# The interpreter's last collections would traverse the ~50k objects numpy and
-# scipy leave alive, 0.1-0.2 s per process; frozen objects are skipped, while
-# the streams are still flushed and other exit handlers still run.
-atexit.register(gc.freeze)
 
 import click
 import numpy as np
@@ -57,6 +56,7 @@ from .sensitivity import (
     fit_fringe,
     load_reference_magnetometers,
     magnetometer_records_from_csv,
+    parabola_basis,
     sensitivity_from_timeseries,
 )
 from .sequences import CoherenceCurve, DDSequence
@@ -156,11 +156,29 @@ def _recorded(body):
 
 
 class _RecordingGroup(click.Group):
-    """Keeps the argv it was invoked with; under ``rerun``, sys.argv is the rerun's."""
+    """Keeps the argv it was invoked with; under ``rerun``, sys.argv is the rerun's.
+
+    A standalone call, one that reads its argv from ``sys.argv``, ends the
+    process with ``os._exit`` once the standard streams are flushed: every
+    output is closed by then, and interpreter finalization would only raise
+    the peak RSS. A call given ``args`` or ``standalone_mode=False``
+    (``CliRunner``, ``rerun``'s replay) returns or raises as click does."""
 
     def parse_args(self, ctx, args):
         ctx.meta["argv"] = list(args)
         return super().parse_args(ctx, args)
+
+    def main(self, args=None, **extra):
+        if args is not None or not extra.get("standalone_mode", True):
+            return super().main(args, **extra)
+        try:
+            super().main(**extra)
+        except SystemExit as exc:  # click ends every standalone call with one
+            code = exc.code
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its descriptor was closed at start
+                stream.flush()
+        os._exit(code)
 
 
 @click.group(cls=_RecordingGroup)
@@ -321,7 +339,9 @@ def _sense_settings(cfg: dict, config) -> tuple:
     is simulated or written; a bad value raises ``InputError`` naming its
     key, which the CLI prefixes with the config's path. A field whose phase
     gamma_e B t_c under the protocol ``config`` is not finite is refused:
-    its sine, and every count drawn from it, would be NaN."""
+    its sine, and every count drawn from it, would be NaN. A sweep the
+    fringe fit could not check against a parabola raises ``parabola_basis``'s
+    ValueError, which names the sweep."""
     gamma_e, t_c = config.budget.gamma_e, config.budget.t_c
     signal = as_float(cfg.get("signal_t", 1e-9), "signal_t")
     if signal <= 0:
@@ -346,6 +366,7 @@ def _sense_settings(cfg: dict, config) -> tuple:
         phases = gamma_e * (config.b_v * grid) * t_c
     if not np.all(np.isfinite(phases)):
         raise InputError(f"volts give phases that are not finite, got {volts!r}")
+    parabola_basis(grid)  # the fringe fit's check, before any output
     shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
     if shots_per_point < 1:
         raise InputError(f"shots_per_point must be >= 1, got {shots_per_point}")

@@ -77,6 +77,26 @@ class FringeFit:
     phi: float  # rad
 
 
+def parabola_basis(volts) -> np.ndarray:
+    """The Vandermonde matrix [v², v, 1] of a voltage sweep with unit-norm
+    columns, as ``np.polyfit`` scales it: the basis of ``fit_fringe``'s
+    parabola check. A sweep whose columns do not scale to finite numbers (a
+    voltage whose square or fourth power leaves the float range, such as
+    1e-100 V) raises ValueError. Needs numpy only, so a sweep can be checked
+    before anything is simulated."""
+    volts = np.asarray(volts, dtype=float)
+    with np.errstate(over="ignore"):
+        vander = np.vander(volts, 3)
+        scale = np.sqrt(np.sum(vander * vander, axis=0))
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        lo, hi = float(volts.min()), float(volts.max())
+        raise ValueError(
+            f"voltage sweep from {lo!r} to {hi!r} V cannot be checked against "
+            "a parabola: its voltages' powers leave the float range"
+        )
+    return vander / scale
+
+
 def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     """Least-squares fringe fit returning the field-per-volt coefficient.
 
@@ -86,13 +106,11 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     same points (the sweep resolves no period, whatever k the fit reports),
     when the fringe has no contrast, or when the fit does not converge.
 
-    The parabola is the projection of the counts onto the Vandermonde
-    matrix with unit-norm columns that ``np.polyfit`` would build, through
-    ``scipy.linalg.qr``: that is the LAPACK the fringe fit has already
-    loaded, where ``np.polyfit`` would load numpy's own beside it. A sweep
-    whose columns do not scale to finite numbers (a voltage whose square or
-    fourth power leaves the float range, such as 1e-100 V) raises ValueError
-    before anything is fitted.
+    The parabola is the projection of the counts onto ``parabola_basis``,
+    through ``scipy.linalg.qr``: that is the LAPACK the fringe fit has
+    already loaded, where ``np.polyfit`` would load numpy's own beside it.
+    A sweep ``parabola_basis`` refuses raises ValueError before anything is
+    fitted.
     """
     volts = np.asarray(volts, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -103,16 +121,7 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     span = volts.max() - volts.min()
     if span <= 0:
         raise ValueError("voltage sweep has zero span")
-    # the parabola check's matrix, with unit-norm columns as np.polyfit scales it
-    with np.errstate(over="ignore"):
-        vander = np.vander(volts, 3)
-        scale = np.sqrt(np.sum(vander * vander, axis=0))
-    if not np.all(np.isfinite(scale) & (scale > 0)):
-        lo, hi = float(volts.min()), float(volts.max())
-        raise ValueError(
-            f"voltage sweep from {lo!r} to {hi!r} V cannot be checked against "
-            "a parabola: its voltages' powers leave the float range"
-        )
+    basis = parabola_basis(volts)
 
     c0 = float(np.mean(counts))
     a0 = float(np.sqrt(2.0) * np.std(counts))
@@ -145,7 +154,7 @@ def fit_fringe(volts, counts, t_interrogation) -> FringeFit:
     # the check above; on it a parabola does as well as the sinusoid
     from scipy.linalg import qr
 
-    q, _ = qr(vander / scale, mode="economic")
+    q, _ = qr(basis, mode="economic")
     parabola = q @ (q.T @ counts)
     rss = np.sum((counts - model(volts, *popt)) ** 2)
     if rss >= np.sum((counts - parabola) ** 2):

@@ -76,10 +76,11 @@ def digests(out: Path, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
-def run_cli(*args, check=True):
-    proc = subprocess.run(
-        CLI + [str(a) for a in args], capture_output=True, text=True
-    )
+def run_cli(*args, check=True, close_stdout=False):
+    argv = CLI + [str(a) for a in args]
+    if close_stdout:  # the child starts with no fd 1, as after a shell's `>&-`
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True)
     if check and proc.returncode != 0:
         raise AssertionError(
             f"exit {proc.returncode}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
@@ -102,9 +103,13 @@ def noise_bundle(tmp_path_factory):
 
 
 class TestBasics:
-    def test_help_exits_zero(self):
-        proc = run_cli("--help")
-        assert "depth" in proc.stdout and "erl" in proc.stdout
+    @pytest.mark.parametrize("close_stdout", [False, True], ids=["piped", "closed"])
+    def test_help_exits_zero(self, close_stdout):
+        proc = run_cli("--help", close_stdout=close_stdout)
+        if close_stdout:
+            assert (proc.stdout, proc.stderr) == ("", "")
+        else:
+            assert "depth" in proc.stdout and "erl" in proc.stdout
 
     def test_version(self):
         proc = run_cli("--version")
@@ -211,22 +216,39 @@ class TestBasics:
         assert run(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
     @pytest.mark.parametrize(
-        "module, frozen", [("nvsense.cli", "True"), ("nvsense.depth", "False")]
+        "call, lines",
+        [
+            (
+                "sys.argv = ['nvsense', *ARGV]\nfrom nvsense.cli import main\nmain()\n",
+                ["24 rows checked, 0 inconsistent"],
+            ),
+            (
+                "from nvsense.cli import main\nmain(ARGV, standalone_mode=False)\n",
+                ["24 rows checked, 0 inconsistent", "handler False"],
+            ),
+            ("import nvsense.cli\n", ["handler False"]),
+            ("import nvsense.depth\n", ["handler False"]),
+        ],
+        ids=["standalone", "in-process", "import-cli", "import-depth"],
     )
-    def test_cli_freezes_the_heap_at_exit(self, module, frozen):
-        """Importing the CLI registers an exit handler that moves every live
-        object to the collector's permanent generation, so the interpreter's
-        last collections skip them; a library import registers none. The
-        observer is registered first, so it runs after the CLI's handler."""
+    def test_only_a_standalone_call_skips_exit_handlers(self, call, lines, tmp_path):
+        """A standalone CLI call ends its process once its line is printed,
+        before exit handlers run; an in-process call and a plain import
+        leave normal exit alone, with no heap frozen."""
         code = (
-            "import atexit, gc\n"
-            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
-            f"import {module}\n"
-        )
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('handler', gc.get_freeze_count() > 0))\n"
+            f"ARGV = {['--out', str(tmp_path), 'erl']!r}\n"
+        ) + call
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == frozen
+        assert proc.stdout.splitlines() == lines
+
+    def test_importing_the_main_module_runs_nothing(self):
+        code = "import nvsense.__main__; print('alive')"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "alive\n")
 
     @pytest.mark.parametrize(
         "args",
@@ -708,8 +730,9 @@ class TestSenseCommand:
 
     def test_sweep_beyond_the_parabola_scaling_exits_3_with_one_line(self, tmp_path):
         """At 1e-100 V a voltage's fourth power underflows, so the parabola
-        check's scaled Vandermonde matrix is not finite: the fit refuses the
-        sweep, naming it, with no LAPACK or numpy line before the error."""
+        check's scaled Vandermonde matrix is not finite: sense refuses the
+        sweep, naming it, with no LAPACK or numpy line before the error and
+        before it simulates or writes anything."""
         cfg = tmp_path / "cfg.json"
         edit = {"n_shots": 2000, "shots_per_point": 100, "volts": [0, 1e-100, 8]}
         cfg.write_text(json.dumps(edit))
@@ -719,6 +742,7 @@ class TestSenseCommand:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: voltage sweep from 0.0 to 1e-100 V ")
         assert not (out / "manifest.json").exists()
+        assert list(out.iterdir()) == []
 
     def test_zero_shots_per_point_names_its_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
