@@ -4,15 +4,16 @@ Subcommands: depth, noise, grape, sense, erl, gen, rerun. ``main`` builds
 one ``_Run`` from the global options and every command receives it; the
 run writes a manifest of its inputs and outputs, unless ``rerun`` is
 replaying a recorded one. Plot outputs are plain CSV plus a JSON axis
-description. Exit codes: 0 success, 2 usage (such as a --seed outside
-[0, 2**63 - 1]), 3 bad input data (``ValueError``, an unreadable file, a
-JSON input that does not parse, lacks a key, is not an object, holds a
-value of the wrong type (``TypeError``, or ``errors.InputError`` for a
-number) or holds NaN or an infinity (``errors.InputError``), a CSV line
-its table does not allow or a table value its dataset refuses
-(``errors.TableError``), a manifest whose
-command is not a list of strings or is itself a ``rerun``, or a recorded
-input that is missing or changed), 4 numerical failure
+description. Exit codes: 0 success, 1 a stdout pipe that its reader has
+already closed (click catches the EPIPE of its flush and prints nothing),
+2 usage (such as a --seed outside [0, 2**63 - 1]), 3 bad input data
+(``ValueError``, an unreadable file, a JSON input that does not parse,
+lacks a key, is not an object, holds a value of the wrong type
+(``TypeError``, or ``errors.InputError`` for a number) or holds NaN or
+an infinity (``errors.InputError``), a CSV line its table does not allow
+or a table value its dataset refuses (``errors.TableError``), a manifest
+whose command is not a list of strings or is itself a ``rerun``, or a
+recorded input that is missing or changed), 4 numerical failure
 (``errors.NumericalError`` or any other ``ArithmeticError``).
 
 A standalone process (the ``nvsense`` script, ``python -m nvsense``) ends
@@ -40,14 +41,13 @@ import numpy as np
 from . import __version__
 from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
-from .errors import InputError, TableError, as_float, as_int, load_json
+from .errors import InputError, NumericalError, TableError, as_float, as_int, load_json
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
     db_below_erl,
     deduct_t1,
     erl_noise_line,
-    fit_lorentzian,
     reconstruct_spectrum,
 )
 from .protocol import nv3_config, run_experiment, simulate_fringe
@@ -273,20 +273,24 @@ def noise(run, curves_dir, t1, l_eff):
             if 0.0 < c < 1.0:
                 points.append((DDSequence(curve.family, curve.n_pulses, t), c))
     spec, info = reconstruct_spectrum(points, n=1)
+    fit = info["fit"]
+    if not fit.floor > fit.floor_sigma:
+        raise NumericalError(
+            f"noise floor not resolved: {fit.floor:.3g} +- {fit.floor_sigma:.3g} T^2/Hz"
+        )
     run.plot(
         "spectrum",
         omega_rad_s=("angular frequency (rad/s)", spec.omega),
         s_t2_per_hz=("noise spectral density (T^2/Hz)", spec.s),
     )
-    run.text("lorentzian.json", fit_lorentzian(spec).to_json() + "\n")
-    floor = float(np.min(spec.s[spec.s > 0]))
+    run.text("lorentzian.json", fit.to_json() + "\n")
     comparison = {
         "l_eff_m": l_eff,
         "erl_noise_line_t2_per_hz": erl_line,
-        "spectrum_floor_t2_per_hz": floor,
-        "db_below_erl_line": db_below_erl(floor, l_eff),
+        "floor_t2_per_hz": fit.floor,
+        "floor_sigma_t2_per_hz": fit.floor_sigma,
+        "db_below_erl_line": db_below_erl(fit.floor, l_eff),
         "iterations": info["iterations"],
-        "extrapolated": info["extrapolated"],
     }
     run.json("erl_comparison.json", comparison)
     return (

@@ -3,17 +3,22 @@
 Spectral decomposition: each coherence point C(T) measured under a pi-pulse
 train with passband omega_0 = pi N / T gives the zeroth-order quantity
 
-    S0(omega_0) = -2 ln C(T) / (gamma_e^2 T)
+    S0(omega_0) = -2 ln C(T) / (gamma_e^2 T) = 8/pi^2 sum_{m odd} S(m omega_0) / m^2
 
-which mixes the spectrum at omega_0 with its odd harmonics. Starting from
-S_0 = pi^2/8 * S0, ``n`` passes of the refinement (one suffices in
-practice; all ``n`` run, with no early stop)
+which mixes the spectrum at omega_0 with its odd harmonics. For the surface
+noise model S(w) = A W^2 / (W^2 + w^2) + F the comb sums in closed form
+(sum_{m odd} 1/(m^2 + c^2) = pi tanh(pi c/2) / (4c)), so (A, W, F) fit
+straight to the S0 values:
 
-    S_n(omega_0) = pi^2/8 * S0(omega_0) - sum_{k>=1} S_{n-1}((2k+1) omega_0) / (2k+1)^2
+    S0(omega_0) = F + A (1 - tanh(x) / x),   x = pi W / (2 omega_0)
 
-take the harmonics out. Harmonics beyond the measured grid are
-extrapolated with a power-law tail fitted to the top decade, since
-Lorentzian-like tails dominate the corrections there.
+Starting from S_0 = pi^2/8 * S0, ``n`` passes (one suffices in practice;
+all ``n`` run, with no early stop) of
+
+    S_n(omega_0) = pi^2/8 * S0(omega_0) - sum_{m>=3 odd} S_{n-1}(m omega_0) / m^2
+
+take the harmonics out: those on the measured grid from the previous pass,
+those past it from the fitted model, in closed form.
 """
 
 import json
@@ -25,8 +30,8 @@ import numpy as np
 from .constants import GAMMA_E, HBAR, MU_0
 from .errors import NumericalError, least_squares
 
-# odd harmonics 3, 5, ..., 2 K_MAX + 1 in each band's correction
-K_MAX = 2000
+# at most this many harmonics per band come from the grid; the model gives the rest
+GRID_HARMONICS = 2000  # bounds the memory of a grid that spans many decades
 
 
 @dataclass
@@ -46,32 +51,12 @@ class NoiseSpectrum:
         if np.any(self.s < 0):
             raise ValueError("spectral density must be nonnegative")
 
-    def _tail_exponent(self) -> float:
-        """Power-law slope fitted over the top decade of the grid."""
-        hi = self.omega >= self.omega[-1] / 10.0
-        if np.count_nonzero(hi) < 2:
-            hi = np.zeros_like(self.omega, dtype=bool)
-            hi[-2:] = True
-        w = self.omega[hi]
-        s = np.clip(self.s[hi], 1e-300, None)
-        slope = np.polyfit(np.log(w), np.log(s), 1)[0]
-        return float(min(slope, 0.0))  # never let the tail grow
-
     def evaluate(self, w) -> np.ndarray:
-        """Interpolate (log-log) within the grid, power-law tail outside."""
-        w = np.asarray(w, dtype=float)
-        out = np.empty_like(w)
+        """Interpolate (log-log) within the grid; hold the end values outside."""
         logw = np.log(np.clip(w, 1e-300, None))
         logs = np.log(np.clip(self.s, 1e-300, None))
-        inside = (w >= self.omega[0]) & (w <= self.omega[-1])
-        out[inside] = np.exp(np.interp(logw[inside], np.log(self.omega), logs))
-        out[w < self.omega[0]] = self.s[0]
-        above = w > self.omega[-1]
-        if np.any(above):
-            p = self._tail_exponent()
-            out[above] = self.s[-1] * (w[above] / self.omega[-1]) ** p
-        out[out < 1e-300] = 0.0
-        return out[()]  # a scalar for a scalar ``w``
+        out = np.exp(np.interp(logw, np.log(self.omega), logs))
+        return np.where(out < 1e-300, 0.0, out)[()]  # a scalar for a scalar ``w``
 
 
 def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
@@ -88,56 +73,46 @@ def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
 
 
 def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = 1):
-    """Refine the zeroth-order values with ``n`` passes of the odd-harmonic
-    deconvolution, starting from pi^2/8 * S0.
-
-    ``omega0``/``s0`` are the measured passband centers and S0 values.
-    Returns (NoiseSpectrum, info); info holds the passes run and flags
-    that the top band's harmonics were extrapolated past the grid.
-    """
+    """Refine the zeroth-order values ``s0`` at passband centers ``omega0``
+    with ``n`` passes of the odd-harmonic deconvolution -> (NoiseSpectrum,
+    info); info holds the passes run and the bands' ``fit_lorentzian``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    omega0 = np.asarray(omega0, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
     order = np.argsort(omega0)
-    omega0, s0 = omega0[order], s0[order]
+    omega0, s0 = np.asarray(omega0, dtype=float)[order], np.asarray(s0, dtype=float)[order]
     if not omega0[0] > 0:
         raise ValueError("passband centers must be > 0")
     # sequences with different N can probe the same passband; average them
-    keep_w, keep_s = [omega0[0]], [[s0[0]]]
-    for w, s in zip(omega0[1:], s0[1:]):
-        if w <= keep_w[-1] * (1 + 1e-9):
-            keep_s[-1].append(s)
-        else:
-            keep_w.append(w)
-            keep_s.append([s])
-    omega0 = np.array(keep_w)
-    naive = np.pi**2 / 8 * np.array([np.mean(vals) for vals in keep_s])
+    first = np.r_[True, omega0[1:] > omega0[:-1] * (1 + 1e-9)]
+    group = np.cumsum(first) - 1
+    omega0, s0 = omega0[first], np.bincount(group, s0) / np.bincount(group)
+    fit = fit_lorentzian(omega0, s0)
 
-    odd = 2 * np.arange(1, K_MAX + 1) + 1
-    harmonics = np.outer(omega0, odd)  # (bands, K_MAX)
-    factors = 1.0 / odd**2
+    # each band's odd harmonics m >= 3 on the grid (GRID_HARMONICS at most)
+    counts = np.minimum((omega0[-1] / omega0 - 1) // 2, GRID_HARMONICS).astype(int)
+    band = np.repeat(np.arange(len(omega0)), counts)
+    m = 2 * (np.arange(len(band)) - np.repeat(np.cumsum(counts) - counts, counts)) + 3
+
+    def on_grid(spectrum):
+        return np.bincount(band, spectrum(m * omega0[band]) / m**2, minlength=len(omega0))
+
+    # the model's comb total less its terms on the grid
+    naive, comb = np.pi**2 / 8 * s0, np.pi**2 / 8 * _zeroth(omega0, fit.s_max, fit.width, fit.floor)
+    tail = comb - fit.spectrum(omega0) - on_grid(fit.spectrum)
     current = NoiseSpectrum(omega0, naive)
     for _ in range(n):
-        corr = np.sum(current.evaluate(harmonics) * factors, axis=1)
+        corr = on_grid(current.evaluate) + tail
         current = NoiseSpectrum(omega0, np.clip(naive - corr, 0.0, None))
-    # the harmonics of the top band always lie past the grid
-    return current, {"iterations": n, "extrapolated": True}
+    return current, {"iterations": n, "fit": fit}
 
 
 def reconstruct_spectrum(points, n: int = 1):
-    """Full inversion: (seq, coherence) pairs -> refined NoiseSpectrum.
-
-    ``points`` iterates over (DDSequence, coherence) measurements.
-    """
-    omega0, s0 = [], []
-    for seq, c in points:
-        w, s = spectrum_zeroth(c, seq)
-        omega0.append(w)
-        s0.append(s)
-    if not omega0:
+    """Full inversion: (DDSequence, coherence) pairs -> ``spectrum_iterate``."""
+    pairs = [spectrum_zeroth(c, seq) for seq, c in points]
+    if not pairs:
         raise ValueError("need at least one coherence point")
-    return spectrum_iterate(np.array(omega0), np.array(s0), n=n)
+    omega0, s0 = np.array(pairs).T
+    return spectrum_iterate(omega0, s0, n=n)
 
 
 def deduct_t1(curve, t1: float):
@@ -166,50 +141,75 @@ def deduct_t1(curve, t1: float):
     )
 
 
+def _zeroth(omega0, s_max, width, floor):
+    """S0 of the model: F + A (1 - tanh(x)/x), x = pi W / (2 omega_0); below
+    x = 0.02, where the difference cancels, its Taylor series."""
+    x = np.pi / 2 * width / np.asarray(omega0, dtype=float)
+    big = np.maximum(x, 0.02)
+    shape = np.where(x < 0.02, x**2 / 3 - 2 * x**4 / 15 + 17 * x**6 / 315, 1 - np.tanh(big) / big)
+    return floor + s_max * shape
+
+
 @dataclass
 class LorentzianFit:
-    s_max: float
+    """S = s_max W^2 / (W^2 + w^2) + floor with 1-sigma errors. A degenerate fit
+    resolved no Lorentzian: it fitted the floor alone (s_max, width 0, sigmas None)."""
+
+    s_max: float  # T^2/Hz
     width: float  # rad/s (HWHM of the Lorentzian in omega)
-    center: float  # rad/s
-    degenerate_width: bool = False
+    floor: float  # T^2/Hz
+    s_max_sigma: float | None
+    width_sigma: float | None
+    floor_sigma: float
+    chi2_per_dof: float  # of the relative residuals
+    degenerate_width: bool
+
+    def spectrum(self, w):
+        return self.s_max * self.width**2 / (self.width**2 + w**2) + self.floor
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "s_max_t2_per_hz": self.s_max,
-                "width_rad_s": self.width,
-                "center_rad_s": self.center,
-                "degenerate_width": self.degenerate_width,
-            },
-            sort_keys=True,
+        out = {"chi2_per_dof": self.chi2_per_dof, "degenerate_width": self.degenerate_width}
+        for name, unit in (("s_max", "t2_per_hz"), ("width", "rad_s"), ("floor", "t2_per_hz")):
+            out[f"{name}_{unit}"] = getattr(self, name)
+            out[f"{name}_sigma_{unit}"] = getattr(self, f"{name}_sigma")
+        return json.dumps(out, sort_keys=True)
+
+
+def fit_lorentzian(omega0, s0) -> LorentzianFit:
+    """Fit the model's S0 to zeroth-order data (``s0`` > 0 at passband centers
+    ``omega0``) in relative residuals and scaled parameters: A and F over max
+    S0, log W over the bands' geometric center, with A >= 0 and W from 1/100
+    of the lowest band to 100 times the highest. A fit that fails or ends
+    within 1e-6 of a bound has not resolved the Lorentzian: the floor is then
+    fitted alone and the fit flagged ``degenerate_width``."""
+    omega0, s0 = np.asarray(omega0, dtype=float), np.asarray(s0, dtype=float)
+    if not np.all(s0 > 0):
+        raise ValueError("zeroth-order densities must be > 0")
+    w_scale, s_scale = math.sqrt(omega0.min() * omega0.max()), s0.max()
+    u, y = omega0 / w_scale, s0 / s_scale
+    lo = np.array([0.0, math.log(omega0.min() / w_scale / 100), -np.inf])
+    hi = np.array([np.inf, -lo[1], np.inf])
+    try:
+        p, cov = least_squares(
+            lambda u, a, log_g, f: _zeroth(u, a, np.exp(log_g), f),
+            u, y, (1 - y.min(), 0.0, y.min()), (lo, hi), "Lorentzian fit", sigma=y,
         )
-
-
-def fit_lorentzian(spec: NoiseSpectrum) -> LorentzianFit:
-    """Least-squares centered Lorentzian fit S = S_max W^2 / (W^2 + w^2).
-
-    A fit whose width runs past the grid by 100x is flagged degenerate
-    (flat input).
-    """
-    if len(spec.omega) < 4:
-        raise NumericalError("need at least 4 grid points")
-    w_scale = spec.omega[-1]
-    s_scale = max(spec.s.max(), 1e-300)
-    w = spec.omega / w_scale
-    s = spec.s / s_scale
-
-    def model(x, a, g):
-        return a * g**2 / (g**2 + x**2)
-
-    popt, _ = least_squares(
-        model, w, s, (1.0, 0.5), ([0, 1e-6], [10, 1e3]), "Lorentzian fit"
-    )
-    a, g = popt
+        resolved = bool(np.all((p - lo > 1e-6) & (hi - p > 1e-6)))
+    except NumericalError:
+        resolved = False
+    if resolved:
+        (a, log_g, f), (sig_a, sig_log_g, sig_f) = p, np.sqrt(np.diag(cov))
+        scaled = (a, math.exp(log_g), f)
+        sigmas = (sig_a * s_scale, sig_log_g * scaled[1] * w_scale)
+    else:
+        p, cov = least_squares(
+            lambda u, f: np.full_like(u, f), u, y, (1.0,), (-np.inf, np.inf), "floor fit", sigma=y
+        )
+        scaled, sigmas, sig_f = (0.0, 0.0, p[0]), (None, None), math.sqrt(cov[0, 0])
+    r = _zeroth(u, *scaled) / y - 1
     return LorentzianFit(
-        s_max=float(a * s_scale),
-        width=float(g * w_scale),
-        center=0.0,
-        degenerate_width=bool(g > 100.0),
+        scaled[0] * s_scale, scaled[1] * w_scale, scaled[2] * s_scale, *sigmas,
+        sig_f * s_scale, r @ r / (len(r) - len(p)), not resolved,
     )
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nvsense.manifest import RunManifest
@@ -42,8 +43,9 @@ DEPTH_DIGESTS = {
     "depth_report.json": "4df61282feca67b7f5addd8700334229f16571b34e4086df50f733c5af1330b0",
     "depth_fit_curve.csv": "54888915973ca1f1cbcef6e02ed41a50286b5beb342019164f83f1cb12d394f3",
 }
-# SHA-256 of `--seed 0 gen noise` (noise_bundle) and of `noise` on it; a
-# rewrite of the comb or of the inversion must change no output bit
+# SHA-256 of `--seed 0 gen noise` (noise_bundle) and of `noise` on it (the
+# closed-form surface-noise fit); a rewrite of the comb or of the inversion
+# must change no output bit
 NOISE_DIGESTS = {
     "gen noise": {
         "coherence_n16.csv": "98962b56a8556e89b2a99e66df2fce8e5b5385d1d128942e7c57c9aa1bfeaaba",
@@ -52,10 +54,10 @@ NOISE_DIGESTS = {
         "coherence_n512.csv": "bef151c1a7486c39ebf46837cca7893adf321382c8799842808cb2fcb17b767b",
     },
     "noise": {
-        "spectrum.csv": "fdddf59f92df64f418ace39751c43761696679dd2bfbafff530b257439302787",
+        "spectrum.csv": "f4108711a27bc323a8c82bf72bba2bc6a7dd2d6e175a20919ac36331a43d33aa",
         "spectrum.axes.json": "5d5efc0d7167b7c706b4eef09482786fbcf05afb9af2d568659e752075c1c21e",
-        "lorentzian.json": "c675a6120a65b82b31c001804d1661bbf15d10091ac2d5d6a85f4ff331614ae1",
-        "erl_comparison.json": "7b6039d20cd2ed2cabe9b9c947dd3544934571609f4f6fbe977b50e6d1c11ce1",
+        "lorentzian.json": "a298c72a039cef725cc55a24b4419bbf979bfa2485330c5ee206818d437a4938",
+        "erl_comparison.json": "dcd9f3a8ac929e2482c8c9f94b0e14c822eaa2016bffe64fdecb6245445c8261",
     },
 }
 
@@ -114,6 +116,20 @@ class TestBasics:
     def test_version(self):
         proc = run_cli("--version")
         assert "0.1.0" in proc.stdout
+
+    @pytest.mark.parametrize("arg", ["--help", "--version"])
+    def test_stdout_pipe_closed_by_its_reader_exits_one(self, arg):
+        """click catches the EPIPE of its flush and exits 1, writing nothing
+        to stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                CLI + [arg], stdout=write_end, stderr=subprocess.PIPE, text=True
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
     def test_unknown_command_usage_error(self):
         proc = run_cli("frobnicate", check=False)
@@ -443,12 +459,57 @@ class TestNoiseCommand:
         assert lines[0] == "omega_rad_s,s_t2_per_hz"
         assert len(lines) > 8
         comparison = json.loads((tmp_path / "erl_comparison.json").read_text())
-        # synthetic floor is pinned 21.6 dB below the line; the reconstructed
-        # floor should land within a few dB
-        assert comparison["db_below_erl_line"] == pytest.approx(21.6, abs=3.0)
+        # the synthetic floor is pinned 21.6 dB below the line, the surface
+        # Lorentzian at 8e-19 T^2/Hz and 2 pi 120 kHz
+        assert comparison["db_below_erl_line"] == pytest.approx(21.6, abs=0.1)
         lor = json.loads((tmp_path / "lorentzian.json").read_text())
-        assert lor["s_max_t2_per_hz"] > 0
+        assert lor["floor_t2_per_hz"] == comparison["floor_t2_per_hz"]
+        assert lor["s_max_t2_per_hz"] == pytest.approx(8e-19, rel=0.01)
+        assert lor["width_rad_s"] == pytest.approx(2 * math.pi * 120e3, rel=0.01)
+        assert not lor["degenerate_width"]
         assert digests(tmp_path, NOISE_DIGESTS["noise"]) == NOISE_DIGESTS["noise"]
+
+    def test_every_band_within_two_percent_of_the_model(self, noise_bundle, tmp_path):
+        from nvsense.synth import nv3_floor_spectrum
+
+        run_cli("--out", tmp_path, "noise", noise_bundle)
+        rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(rows[:, 1], nv3_floor_spectrum()(rows[:, 0]), rtol=0.02)
+
+    def test_family_without_a_floor_exits_4(self, tmp_path):
+        """A pure Lorentzian fits a floor no larger than its sigma, which has
+        no decibels below the ERL line: noise exits 4 before any output."""
+        from nvsense.synth import lorentzian_spectrum, make_coherence_family
+
+        curves, out = tmp_path / "curves", tmp_path / "out"
+        curves.mkdir()
+        for curve in make_coherence_family(lorentzian_spectrum(8e-19, 2 * math.pi * 120e3)):
+            (curves / f"n{curve.n_pulses}.csv").write_text(curve.to_csv())
+            (curves / f"n{curve.n_pulses}.json").write_text(curve.sidecar())
+        proc = run_cli("--out", out, "noise", curves, check=False)
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: noise floor not resolved")
+        assert list(out.iterdir()) == []
+
+    def test_fits_without_numpys_least_squares(self, noise_bundle, tmp_path, monkeypatch):
+        """noise fits through scipy alone: numpy's polyfit and lstsq, whose
+        LAPACK would sit in the process beside scipy's, are never called."""
+        from nvsense.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy least squares called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        argv = ["--out", str(tmp_path), "noise", str(noise_bundle)]
+        try:
+            main(argv, standalone_mode=False)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0
+        assert (tmp_path / "erl_comparison.json").exists()
 
     def test_t1_too_short_is_data_error(self, noise_bundle, tmp_path):
         proc = run_cli(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from nvsense.constants import GAMMA_E, TWO_PI
 from nvsense.errors import NumericalError
 from nvsense.noisespec import (
-    LorentzianFit,
+    GRID_HARMONICS,
     NoiseSpectrum,
+    _zeroth,
     db_below_erl,
     deduct_t1,
     erl_noise_line,
@@ -17,6 +19,7 @@ from nvsense.noisespec import (
     spectrum_zeroth,
 )
 from nvsense.sequences import CoherenceCurve, DDSequence, coherence_from_spectrum
+from nvsense.synth import make_coherence_family, nv3_floor_spectrum
 
 
 def lorentzian(s_max, width):
@@ -92,11 +95,27 @@ class TestSpectrumIterate:
         d2 = np.max(np.abs(s2.s - s1.s))
         assert d2 <= d1
 
+    def test_wide_grid_takes_far_harmonics_from_the_model(self):
+        # six decades of bands: the low bands have ~1e6 harmonics on the grid,
+        # far more than GRID_HARMONICS; the fitted model supplies those past it
+        w0 = np.geomspace(TWO_PI * 10, TWO_PI * 10e6, 25)
+        assert w0[-1] / w0[0] > 100 * (2 * GRID_HARMONICS + 1)
+        s0 = closed_form_s0(w0, 8e-19, TWO_PI * 120e3, 2e-20)
+        spec, _ = spectrum_iterate(w0, s0, n=6)
+        np.testing.assert_allclose(spec.s, lorentzian(8e-19, TWO_PI * 120e3)(w0) + 2e-20, rtol=0.01)
+
     def test_narrow_grid_flagged(self):
+        # two bands cannot resolve a Lorentzian: the fit is the floor alone
         w0 = np.array([1e5, 1.2e5])
         s0 = np.array([1e-18, 9e-19])
-        _, info = spectrum_iterate(w0, s0, n=1)
-        assert info["extrapolated"]
+        spec, info = spectrum_iterate(w0, s0, n=1)
+        fit = info["fit"]
+        assert fit.degenerate_width
+        assert (fit.s_max, fit.width, fit.s_max_sigma, fit.width_sigma) == (0.0, 0.0, None, None)
+        assert 9e-19 < fit.floor < 1e-18
+        # neither band has a harmonic on the grid: all of the comb past S0
+        # comes from the flat model, pi^2/8 S0 - (pi^2/8 - 1) F
+        np.testing.assert_allclose(spec.s, np.pi**2 / 8 * s0 - (np.pi**2 / 8 - 1) * fit.floor)
 
     def test_band_without_passband_or_pass_rejected(self):
         s0 = np.array([1e-18, 9e-19])
@@ -121,6 +140,24 @@ class TestRoundTrip:
         spec, _ = reconstruct_spectrum(points, n=1)
         rel = np.abs(spec.s - truth(spec.omega)) / truth(spec.omega)
         assert np.max(rel) < 0.10
+
+    def test_surface_noise_family_floor_and_width(self):
+        # the noiseless family of `gen noise`: the fitted floor sits within
+        # 0.1 dB of its 21.6 dB below the ERL line, the width within 1%, and
+        # every band within 2% of the model
+        truth = nv3_floor_spectrum(db_below=21.6, l_eff=31.7e-9)
+        points = [
+            (DDSequence(curve.family, curve.n_pulses, t), c)
+            for curve in make_coherence_family(truth)
+            for t, c in zip(curve.times, curve.coherence)
+            if 0.0 < c < 1.0
+        ]
+        spec, info = reconstruct_spectrum(points, n=1)
+        fit = info["fit"]
+        assert db_below_erl(fit.floor, 31.7e-9) == pytest.approx(21.6, abs=0.1)
+        assert fit.width == pytest.approx(TWO_PI * 120e3, rel=0.01)
+        assert not fit.degenerate_width
+        np.testing.assert_allclose(spec.s, truth(spec.omega), rtol=0.02)
 
 
 class TestDeductT1:
@@ -161,31 +198,68 @@ class TestDeductT1:
             deduct_t1(curve, t1)
 
 
+def closed_form_s0(w0, s_max, width, floor):
+    """pi^2/8 S0 = F pi^2/8 + A (pi^2/8 - pi tanh(pi c/2) / (4c)), c = W / omega_0,
+    over pi^2/8: the odd-harmonic comb of A W^2/(W^2 + w^2) + F summed exactly."""
+    c = width / np.asarray(w0, float)
+    return floor + s_max * (1 - 8 / np.pi**2 * np.pi * np.tanh(np.pi * c / 2) / (4 * c))
+
+
 class TestLorentzianFit:
+    @pytest.mark.parametrize("c", np.geomspace(1e-2, 1e2, 9))
+    def test_closed_form_matches_the_truncated_comb(self, c):
+        # -ln C = gamma_e^2 T (4/pi^2) [pi^2/8 S0]; the 20,000-harmonic comb
+        # misses ~1/(4 k_max) of the floor's share
+        s_max, floor = 8e-19, 2e-20
+        seq = DDSequence("XY16", 64, 64 / (2 * 1e6))
+        width = c * seq.omega0
+        c_comb = coherence_from_spectrum(
+            lambda w: lorentzian(s_max, width)(w) + floor, seq, k_max=20000
+        )
+        closed = GAMMA_E**2 * seq.total_time * (4 / np.pi**2) * (
+            np.pi**2 / 8 * closed_form_s0(seq.omega0, s_max, width, floor)
+        )
+        assert -math.log(c_comb) == pytest.approx(closed, rel=1e-4)
+        _, s0 = spectrum_zeroth(c_comb, seq)
+        assert s0 == pytest.approx(_zeroth(seq.omega0, s_max, width, floor), rel=1e-4)
+
     def test_noiseless_self_consistency(self):
-        w = np.geomspace(1e4, 1e7, 40)
-        s = lorentzian(3e-18, TWO_PI * 150e3)(w)
-        fit = fit_lorentzian(NoiseSpectrum(w, s))
-        assert fit.s_max == pytest.approx(3e-18, rel=1e-3)
-        assert fit.width == pytest.approx(TWO_PI * 150e3, rel=1e-3)
+        w0 = np.geomspace(1e4, 1e7, 40)
+        fit = fit_lorentzian(w0, closed_form_s0(w0, 3e-18, TWO_PI * 150e3, 1e-20))
+        assert fit.s_max == pytest.approx(3e-18, rel=1e-9)
+        assert fit.width == pytest.approx(TWO_PI * 150e3, rel=1e-9)
+        assert fit.floor == pytest.approx(1e-20, rel=1e-9)
+        assert fit.chi2_per_dof < 1e-20
         assert not fit.degenerate_width
 
     def test_noisy_width_recovery(self):
         rng = np.random.default_rng(2)
-        w = np.geomspace(1e4, 1e7, 60)
-        truth = lorentzian(3e-18, TWO_PI * 150e3)(w)
-        s = np.clip(truth * (1 + rng.normal(0, 0.10, len(w))), 0, None)
-        fit = fit_lorentzian(NoiseSpectrum(w, s))
+        w0 = np.geomspace(1e4, 1e7, 60)
+        truth = closed_form_s0(w0, 3e-18, TWO_PI * 150e3, 1e-20)
+        fit = fit_lorentzian(w0, truth * (1 + rng.normal(0, 0.10, len(w0))))
         assert fit.width == pytest.approx(TWO_PI * 150e3, rel=0.15)
+        # the errors come from the scatter: chi^2/dof of the relative residuals
+        assert fit.chi2_per_dof == pytest.approx(0.01, rel=0.5)
+        assert abs(fit.width - TWO_PI * 150e3) < 3 * fit.width_sigma
 
     def test_flat_input_degenerate(self):
-        w = np.geomspace(1e4, 1e6, 20)
-        fit = fit_lorentzian(NoiseSpectrum(w, np.full(20, 1e-18)))
+        w0 = np.geomspace(1e4, 1e6, 20)
+        fit = fit_lorentzian(w0, np.full(20, 1e-18))
         assert fit.degenerate_width
+        assert fit.floor == pytest.approx(1e-18, rel=1e-12)
+        assert json.loads(fit.to_json())["width_sigma_rad_s"] is None
 
     def test_too_few_points(self):
-        with pytest.raises(NumericalError, match="at least 4 grid points"):
-            fit_lorentzian(NoiseSpectrum([1.0, 2.0, 3.0], [1, 1, 1]))
+        # three bands leave the Lorentzian no degree of freedom: floor alone;
+        # one band leaves not even the floor one
+        fit = fit_lorentzian([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])
+        assert fit.degenerate_width and fit.floor == pytest.approx(1.5, rel=0.2)
+        with pytest.raises(NumericalError, match="floor fit"):
+            fit_lorentzian([1.0], [1.0])
+
+    def test_nonpositive_density_rejected(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            fit_lorentzian([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.0, 0.0, 1.0, 1.0])
 
 
 class TestErlNoiseLine:
@@ -225,10 +299,11 @@ class TestNoiseSpectrumIO:
             NoiseSpectrum([1e5, 2e5], [-1e-18, 1e-18])
 
     def test_evaluate_tail_extrapolation(self):
+        # log-log interpolation on the grid; past either end the end value holds
         w = np.geomspace(1e4, 1e6, 30)
         s = lorentzian(1e-18, TWO_PI * 20e3)(w)
         spec = NoiseSpectrum(w, s)
-        # tail ~ omega^-2: extrapolated point follows the power law
-        got = spec.evaluate(4e6)
-        expected = s[-1] * (4e6 / 1e6) ** -2
-        assert got == pytest.approx(expected, rel=0.1)
+        assert spec.evaluate(4e6) == pytest.approx(s[-1], rel=1e-12)
+        assert spec.evaluate(1e3) == pytest.approx(s[0], rel=1e-12)
+        mid = math.sqrt(w[3] * w[4])
+        assert spec.evaluate(mid) == pytest.approx(math.sqrt(s[3] * s[4]), rel=1e-12)
