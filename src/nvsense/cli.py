@@ -45,6 +45,7 @@ from .errors import InputError, NumericalError, TableError, as_float, as_int, lo
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
+    PASSES,
     db_below_erl,
     deduct_t1,
     erl_noise_line,
@@ -272,7 +273,7 @@ def noise(run, curves_dir, t1, l_eff):
         for t, c in zip(curve.times, curve.coherence):
             if 0.0 < c < 1.0:
                 points.append((DDSequence(curve.family, curve.n_pulses, t), c))
-    spec, info = reconstruct_spectrum(points, n=1)
+    spec, info = reconstruct_spectrum(points, n=PASSES)
     fit = info["fit"]
     if not fit.floor > fit.floor_sigma:
         raise NumericalError(
@@ -305,7 +306,10 @@ def noise(run, curves_dir, t1, l_eff):
 def grape(run, problem_json):
     """Optimize a shaped control pulse for a rotation target."""
     spec = load_json(run.input(problem_json))
-    angle = as_float(spec["angle_deg"], "angle_deg") * np.pi / 180.0
+    angle_deg = as_float(spec["angle_deg"], "angle_deg")
+    angle = angle_deg * np.pi / 180.0
+    if not np.isfinite(angle):
+        raise InputError(f"angle_deg gives an angle that is not finite, got {angle_deg!r}")
     problem = GrapeProblem(
         target=rotation_target(angle, spec.get("axis", "x")),
         n_pieces=as_int(spec["n_pieces"], "n_pieces"),

@@ -11,8 +11,9 @@ so a constant resonant drive of duration t performs a rotation by
 fidelity |Tr(U_target^dag U)|^2 / d^2. Piece propagators and their
 derivatives are closed-form Rodrigues expressions, so the gradient is
 exact, not the first-order GRAPE approximation (Khaneja et al., JMR 172,
-296, 2005). The solver is scipy's L-BFGS-B, as in de Fouquieres et al.,
-JMR 212, 412 (2011).
+296, 2005). The target rotation is closed-form too, and must be a 2x2
+unitary, which keeps the fidelity within [0, 1]. scipy is used for the
+solver alone, L-BFGS-B, as in de Fouquieres et al., JMR 212, 412 (2011).
 """
 
 from dataclasses import dataclass
@@ -28,12 +29,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def rotation_target(angle: float, axis: str = "x") -> np.ndarray:
-    """Unitary for a rotation by ``angle`` about x or y."""
-    from scipy.linalg import expm
-
+    """Unitary exp(-i angle sigma / 2) of a rotation by ``angle`` about x or
+    y, in closed form: cos(angle/2) I - i sin(angle/2) sigma."""
     if axis not in ("x", "y"):
         raise ValueError(f"rotation axis must be 'x' or 'y', got {axis!r}")
-    return expm(-0.5j * angle * (SIGMA_X if axis == "x" else SIGMA_Y))
+    half = 0.5 * angle
+    return np.cos(half) * np.eye(2) - 1j * np.sin(half) * (SIGMA_X if axis == "x" else SIGMA_Y)
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,10 @@ class GrapeProblem:
             raise ValueError("n_pieces must be >= 1")
         if self.piece_duration <= 0 or self.max_rabi_hz <= 0:
             raise ValueError("piece_duration and max_rabi_hz must be > 0")
+        t = np.asarray(self.target)
+        # a unitary target keeps |Tr(T^dag U)| / 2, and so the fidelity, in [0, 1]
+        if t.shape != (2, 2) or not np.linalg.norm(t.conj().T @ t - np.eye(2)) <= 1e-12:
+            raise ValueError("target must be a 2x2 unitary")
         w = sum(m.weight for m in self.ensemble)
         if abs(w - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights sum to {w}, expected 1")

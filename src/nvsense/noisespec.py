@@ -12,13 +12,17 @@ straight to the S0 values:
 
     S0(omega_0) = F + A (1 - tanh(x) / x),   x = pi W / (2 omega_0)
 
-Starting from S_0 = pi^2/8 * S0, ``n`` passes (one suffices in practice;
-all ``n`` run, with no early stop) of
+Starting from S_0 = pi^2/8 * S0, ``n`` passes (all ``n`` run, with no early
+stop) of
 
     S_n(omega_0) = pi^2/8 * S0(omega_0) - sum_{m>=3 odd} S_{n-1}(m omega_0) / m^2
 
 take the harmonics out: those on the measured grid from the previous pass,
-those past it from the fitted model, in closed form.
+those past it from the fitted model, in closed form. One pass is not enough:
+where a band's harmonics sit on a flat stretch of the spectrum, it subtracts
+them at pi^2/8 times their value and reads (pi^2/8 - 1)^2 ~ 5.4% low. A band
+reads only bands above it, so each pass fixes one more link of the longest
+chain of bands that each read the next, and the passes then stop changing.
 """
 
 import json
@@ -32,6 +36,10 @@ from .errors import NumericalError, least_squares
 
 # at most this many harmonics per band come from the grid; the model gives the rest
 GRID_HARMONICS = 2000  # bounds the memory of a grid that spans many decades
+# the fewest passes after which a further pass changes no band by 1e-15 (in
+# fact by no bit) on the `gen noise` curves, noiseless and at --noise 0.005 with
+# seeds 0-19: their bands span 40 kHz to 2 MHz, a chain of four links
+PASSES = 4
 
 
 @dataclass
@@ -72,7 +80,7 @@ def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
     return float(seq.omega0), float(s0)
 
 
-def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = 1):
+def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = PASSES):
     """Refine the zeroth-order values ``s0`` at passband centers ``omega0``
     with ``n`` passes of the odd-harmonic deconvolution -> (NoiseSpectrum,
     info); info holds the passes run and the bands' ``fit_lorentzian``."""
@@ -106,7 +114,7 @@ def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = 1):
     return current, {"iterations": n, "fit": fit}
 
 
-def reconstruct_spectrum(points, n: int = 1):
+def reconstruct_spectrum(points, n: int = PASSES):
     """Full inversion: (DDSequence, coherence) pairs -> ``spectrum_iterate``."""
     pairs = [spectrum_zeroth(c, seq) for seq, c in points]
     if not pairs:

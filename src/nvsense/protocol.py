@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .sensitivity import SensitivityBudget
-from .sequences import DDSequence
 from .tables import table_blocks
 
 BATCH_SIZE = 4096
@@ -218,20 +217,15 @@ def simulate_repetitive_readout(
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything needed to simulate one magnetometry run."""
+    """Everything needed to simulate one magnetometry run. The DD sequence
+    reaches a shot only through the budget: its duration t_c and contrast c."""
 
-    sequence: DDSequence
     budget: SensitivityBudget
     charge: ChargeReadoutModel = ChargeReadoutModel()
     readout: ReadoutChainModel = ReadoutChainModel()
     b_v: float = 112e-9  # applied field per AWG volt, T/V
 
     def __post_init__(self):
-        if not np.isclose(self.sequence.total_time, self.budget.t_c):
-            raise ValueError(
-                "sequence total_time and budget t_c disagree: "
-                f"{self.sequence.total_time} vs {self.budget.t_c}"
-            )
         if self.b_v <= 0:
             raise ValueError("b_v must be > 0")
 
@@ -348,10 +342,7 @@ def nv3_config() -> ProtocolConfig:
         f_r=0.84,
         t_ir=3.336e-3 - 1.8e-3,
     )
-    return ProtocolConfig(
-        sequence=DDSequence("XY16", 512, 1.8e-3),
-        budget=budget,
-    )
+    return ProtocolConfig(budget=budget)
 
 
 def simulate_fringe(

@@ -44,8 +44,8 @@ DEPTH_DIGESTS = {
     "depth_fit_curve.csv": "54888915973ca1f1cbcef6e02ed41a50286b5beb342019164f83f1cb12d394f3",
 }
 # SHA-256 of `--seed 0 gen noise` (noise_bundle) and of `noise` on it (the
-# closed-form surface-noise fit); a rewrite of the comb or of the inversion
-# must change no output bit
+# closed-form surface-noise fit and PASSES refinement passes); a rewrite of
+# the comb or of the inversion must change no output bit
 NOISE_DIGESTS = {
     "gen noise": {
         "coherence_n16.csv": "98962b56a8556e89b2a99e66df2fce8e5b5385d1d128942e7c57c9aa1bfeaaba",
@@ -54,10 +54,10 @@ NOISE_DIGESTS = {
         "coherence_n512.csv": "bef151c1a7486c39ebf46837cca7893adf321382c8799842808cb2fcb17b767b",
     },
     "noise": {
-        "spectrum.csv": "f4108711a27bc323a8c82bf72bba2bc6a7dd2d6e175a20919ac36331a43d33aa",
+        "spectrum.csv": "8048e1851f7af354b7173617ff52af3cb3edda788b0004d8b9be56a79471d387",
         "spectrum.axes.json": "5d5efc0d7167b7c706b4eef09482786fbcf05afb9af2d568659e752075c1c21e",
         "lorentzian.json": "a298c72a039cef725cc55a24b4419bbf979bfa2485330c5ee206818d437a4938",
-        "erl_comparison.json": "dcd9f3a8ac929e2482c8c9f94b0e14c822eaa2016bffe64fdecb6245445c8261",
+        "erl_comparison.json": "709e92a2f24cfc71b338c674cf3a0bdd1df5e8c4f08708aea8070567548dde82",
     },
 }
 
@@ -842,6 +842,29 @@ class TestGrapeCommand:
         trace = (tmp_path / "fidelity_trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,fidelity"
         assert digests(tmp_path, GRAPE_DIGESTS) == GRAPE_DIGESTS
+
+    def test_angle_that_overflows_is_refused(self, tmp_path):
+        # 1e308 degrees is finite, but not once it is turned into radians
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({**SMALL_PROBLEM, "angle_deg": 1e308}))
+        out = tmp_path / "out"
+        proc = run_cli("--out", out, "grape", problem, check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {problem}: angle_deg ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("angle_deg", [4e15, 1e20])
+    def test_huge_angle_keeps_the_fidelity_within_one(self, angle_deg, tmp_path):
+        # a target that is not unitary lets |Tr(T^dag U)|^2 / 4 pass 1
+        problem = tmp_path / "problem.json"
+        edit = {"angle_deg": angle_deg, "target_infidelity": 1e-5}
+        problem.write_text(json.dumps({**SMALL_PROBLEM, **edit}))
+        run_cli("--seed", 1, "--out", tmp_path, "grape", problem)
+        summary = json.loads((tmp_path / "grape_summary.json").read_text())
+        assert summary["converged"]
+        assert 1 - 1e-5 <= summary["fidelity"] <= 1.0
+        assert summary["verified_fidelity"] == summary["fidelity"]
 
 
 def _with_nan_on_line_3(path: Path):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +43,45 @@ def test_fidelity_exact_target_is_one():
 def test_rotation_target_rejects_unknown_axis(axis):
     with pytest.raises(ValueError, match="rotation axis must be 'x' or 'y'"):
         rotation_target(np.pi, axis)
+
+
+@pytest.mark.parametrize("axis, sigma", [("x", [[0, 1], [1, 0]]), ("y", [[0, -1j], [1j, 0]])])
+def test_rotation_target_matches_expm(axis, sigma):
+    # the closed form against the matrix exponential it replaces
+    from scipy.linalg import expm
+
+    sigma = np.array(sigma, dtype=complex)
+    for angle in np.linspace(-4 * np.pi, 4 * np.pi, 1001):
+        np.testing.assert_allclose(
+            rotation_target(angle, axis), expm(-0.5j * angle * sigma), rtol=0, atol=1e-15
+        )
+
+
+def test_rotation_target_loads_no_scipy():
+    code = (
+        "import sys; from nvsense.grape import rotation_target; "
+        "rotation_target(1.0, 'y'); print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        1.001 * np.eye(2),
+        np.eye(3),
+        np.full((2, 2), np.nan),
+        np.array([[1, 1e-6], [0, 1]], dtype=complex),
+    ],
+    ids=["scaled", "3x3", "nan", "sheared"],
+)
+def test_target_that_is_not_a_unitary_rejected(target):
+    # |Tr(T^dag U)|^2 / 4 is a fidelity in [0, 1] only for a unitary T
+    with pytest.raises(ValueError, match="target must be a 2x2 unitary"):
+        _singleton_problem(target)
 
 
 def test_fidelity_orthogonal_case():

@@ -8,6 +8,7 @@ from nvsense.constants import GAMMA_E, TWO_PI
 from nvsense.errors import NumericalError
 from nvsense.noisespec import (
     GRID_HARMONICS,
+    PASSES,
     NoiseSpectrum,
     _zeroth,
     db_below_erl,
@@ -104,6 +105,20 @@ class TestSpectrumIterate:
         spec, _ = spectrum_iterate(w0, s0, n=6)
         np.testing.assert_allclose(spec.s, lorentzian(8e-19, TWO_PI * 120e3)(w0) + 2e-20, rtol=0.01)
 
+    def test_flat_stretch_needs_more_than_one_pass(self):
+        # below the 120 kHz corner a band's harmonics sit on a flat stretch:
+        # one pass subtracts them at pi^2/8 times their value and reads
+        # (pi^2/8 - 1)^2 ~ 5.4% low; the default passes leave the log-log
+        # interpolation's error alone
+        w0 = np.geomspace(TWO_PI * 10, TWO_PI * 10e6, 25)
+        truth = lorentzian(8e-19, TWO_PI * 120e3)(w0) + 2e-20
+        s0 = closed_form_s0(w0, 8e-19, TWO_PI * 120e3, 2e-20)
+        one, _ = spectrum_iterate(w0, s0, n=1)
+        assert np.min(one.s / truth - 1) == pytest.approx(-((np.pi**2 / 8 - 1) ** 2), rel=0.01)
+        spec, info = spectrum_iterate(w0, s0)
+        assert info["iterations"] == PASSES
+        np.testing.assert_allclose(spec.s, truth, rtol=2e-3)
+
     def test_narrow_grid_flagged(self):
         # two bands cannot resolve a Lorentzian: the fit is the floor alone
         w0 = np.array([1e5, 1.2e5])
@@ -144,7 +159,7 @@ class TestRoundTrip:
     def test_surface_noise_family_floor_and_width(self):
         # the noiseless family of `gen noise`: the fitted floor sits within
         # 0.1 dB of its 21.6 dB below the ERL line, the width within 1%, and
-        # every band within 2% of the model
+        # after the default passes every band within 0.05% of the model
         truth = nv3_floor_spectrum(db_below=21.6, l_eff=31.7e-9)
         points = [
             (DDSequence(curve.family, curve.n_pulses, t), c)
@@ -152,12 +167,30 @@ class TestRoundTrip:
             for t, c in zip(curve.times, curve.coherence)
             if 0.0 < c < 1.0
         ]
-        spec, info = reconstruct_spectrum(points, n=1)
+        spec, info = reconstruct_spectrum(points)
         fit = info["fit"]
         assert db_below_erl(fit.floor, 31.7e-9) == pytest.approx(21.6, abs=0.1)
         assert fit.width == pytest.approx(TWO_PI * 120e3, rel=0.01)
         assert not fit.degenerate_width
-        np.testing.assert_allclose(spec.s, truth(spec.omega), rtol=0.02)
+        np.testing.assert_allclose(spec.s, truth(spec.omega), rtol=5e-4)
+
+    @pytest.mark.parametrize("noise, seeds", [(0.0, [0]), (0.005, range(20))])
+    def test_passes_reach_their_fixed_point_on_gen_noise_families(self, noise, seeds):
+        # PASSES is the fewest passes after which a further one moves no band
+        # by 1e-15, on the families `gen noise` writes with the CLI's filter
+        truth = nv3_floor_spectrum(db_below=21.6, l_eff=31.7e-9)
+        for seed in seeds:
+            points = [
+                (DDSequence(curve.family, curve.n_pulses, t), c)
+                for curve in make_coherence_family(truth, noise=noise, seed=seed)
+                for t, c in zip(curve.times, curve.coherence)
+                if 0.0 < c < 1.0
+            ]
+            fewer, s, more = (
+                reconstruct_spectrum(points, n=n)[0].s for n in (PASSES - 1, PASSES, PASSES + 1)
+            )
+            assert np.max(np.abs(more / s - 1)) <= 1e-15
+            assert np.max(np.abs(s / fewer - 1)) > 1e-15
 
 
 class TestDeductT1:

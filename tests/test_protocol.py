@@ -32,7 +32,6 @@ from nvsense.sensitivity import (
     fit_fringe,
     sensitivity_from_timeseries,
 )
-from nvsense.sequences import DDSequence
 from oracles import (
     assignment_fidelity,
     charge_init_batch,
@@ -254,19 +253,17 @@ class TestReadoutChain:
 
 
 class TestProtocolConfig:
-    def test_t_c_mismatch_rejected(self):
+    def test_nonpositive_b_v_rejected(self):
         budget = SensitivityBudget(
             t_c=1.0e-3, c=0.4, f_i=0.92, f_r=0.84, t_ir=1.5e-3
         )
-        with pytest.raises(ValueError, match="total_time and budget t_c disagree"):
-            ProtocolConfig(
-                sequence=DDSequence("XY16", 512, 1.8e-3), budget=budget
-            )
+        with pytest.raises(ValueError, match="b_v must be > 0"):
+            ProtocolConfig(budget, b_v=0.0)
 
     def test_nv3_preset(self):
         cfg = nv3_config()
         assert cfg.shot_duration == pytest.approx(3.336e-3)
-        assert cfg.sequence.n_pulses == 512
+        assert cfg.budget.t_c == 1.8e-3
 
 
 class TestRunExperiment:
@@ -299,7 +296,7 @@ class TestRunExperiment:
     def test_per_shot_arrays_keep_their_natural_width(self, max_cycles, dtype):
         cfg = nv3_config()
         cfg = ProtocolConfig(
-            cfg.sequence, cfg.budget, charge=ChargeReadoutModel(max_cycles=max_cycles)
+            cfg.budget, charge=ChargeReadoutModel(max_cycles=max_cycles)
         )
         run = run_experiment(cfg, 1e-9, 5001, seed=8)
         assert run.signs.dtype == np.int8
@@ -313,7 +310,7 @@ class TestRunExperiment:
         # 30 photons per state-1 cycle: the bound is 85,995, past uint16
         cfg = nv3_config()
         readout = ReadoutChainModel(mean_photons_one=30.0)
-        cfg = ProtocolConfig(cfg.sequence, cfg.budget, readout=readout)
+        cfg = ProtocolConfig(cfg.budget, readout=readout)
         run = run_experiment(cfg, 1e-9, 5001, seed=8)
         assert photon_bound(readout) == 85995
         assert run.photons.dtype == np.uint32
