@@ -10,8 +10,10 @@ already closed (click catches the EPIPE of its flush and prints nothing),
 (``ValueError``, an unreadable file, a JSON input that does not parse,
 lacks a key, is not an object, holds a value of the wrong type
 (``TypeError``, or ``errors.InputError`` for a number) or holds NaN or
-an infinity (``errors.InputError``), a CSV line its table does not allow
-or a table value its dataset refuses (``errors.TableError``), a manifest
+an infinity (``errors.InputError``), a config or problem key the command
+does not read or a sidecar pulse train ``DDSequence`` refuses
+(``errors.InputError``), a CSV line its table does not allow or a table
+value its records refuse (``errors.TableError``), a manifest
 whose command is not a list of strings or is itself a ``rerun``, or a
 recorded input that is missing or changed), 4 numerical failure
 (``errors.NumericalError`` or any other ``ArithmeticError``).
@@ -41,7 +43,8 @@ import numpy as np
 from . import __version__
 from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
-from .errors import InputError, NumericalError, TableError, as_float, as_int, load_json
+from .errors import InputError, NumericalError, TableError, as_float, as_int
+from .errors import check_keys, load_json
 from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
 from .noisespec import (
@@ -60,7 +63,7 @@ from .sensitivity import (
     parabola_basis,
     sensitivity_from_timeseries,
 )
-from .sequences import CoherenceCurve, DDSequence
+from .sequences import CoherenceCurve, DDSequence, check_train
 from .tables import table_blocks
 from . import synth
 
@@ -122,6 +125,12 @@ class _Run:
         self.text(f"{stem}.csv", table_blocks(",".join(columns), *values))
         axes = {name: description for name, (description, _) in columns.items()}
         self.json(f"{stem}.axes.json", {"columns": axes})
+
+    def scans(self, items):
+        """``stem.csv`` and its sidecar ``stem.json`` for each (scan, stem)."""
+        for scan, stem in items:
+            self.text(f"{stem}.csv", scan.to_csv())
+            self.text(f"{stem}.json", scan.sidecar() + "\n")
 
 
 def _recorded(body):
@@ -300,6 +309,12 @@ def noise(run, curves_dir, t1, l_eff):
     )
 
 
+_GRAPE_KEYS = (
+    "angle_deg", "axis", "n_pieces", "piece_duration_s", "max_rabi_hz",
+    "target_infidelity",
+)
+
+
 @main.command()
 @click.argument("problem_json", type=click.Path(exists=True, dir_okay=False))
 @_recorded
@@ -316,13 +331,24 @@ def grape(run, problem_json):
         piece_duration=as_float(spec["piece_duration_s"], "piece_duration_s"),
         max_rabi_hz=as_float(spec["max_rabi_hz"], "max_rabi_hz"),
     )
-    result = optimize(
-        problem,
-        seed=run.seed,
-        target_infidelity=as_float(
-            spec.get("target_infidelity", 1e-5), "target_infidelity"
-        ),
-    )
+    # GRAPE's kernel squares each member's drive quadratures (each at most
+    # max_rabi_hz, scaled) and detuning in rad/s, and turns a piece by the
+    # root of their sum times the piece's duration
+    drive = [[m.amplitude_scale * problem.max_rabi_hz] * 2 + [m.detuning_hz]
+             for m in problem.ensemble]
+    with np.errstate(over="ignore"):
+        v = np.pi * np.float64(drive)
+        turn = np.sqrt(np.sum(v**2, axis=-1)) * problem.piece_duration
+    if not np.all(np.isfinite(turn)):
+        raise InputError(
+            f"max_rabi_hz {problem.max_rabi_hz!r} over piece_duration_s "
+            f"{problem.piece_duration!r} gives a rotation that is not finite"
+        )
+    target_infidelity = as_float(spec.get("target_infidelity", 1e-5), "target_infidelity")
+    if not 0 < target_infidelity < 1:
+        raise InputError(f"target_infidelity must be in (0, 1), got {target_infidelity!r}")
+    check_keys(spec, _GRAPE_KEYS)
+    result = optimize(problem, seed=run.seed, target_infidelity=target_infidelity)
     run.text("waveform.csv", result.waveform.to_csv())
     run.text(
         "fidelity_trace.csv",
@@ -344,12 +370,12 @@ def grape(run, problem_json):
 def _sense_settings(cfg: dict, config) -> tuple:
     """(signal_t, n_shots, fringe volts, shots_per_point) of a ``sense``
     config, defaults filled in. Every key is checked here, before anything
-    is simulated or written; a bad value raises ``InputError`` naming its
-    key, which the CLI prefixes with the config's path. A field whose phase
-    gamma_e B t_c under the protocol ``config`` is not finite is refused:
-    its sine, and every count drawn from it, would be NaN. A sweep the
-    fringe fit could not check against a parabola raises ``parabola_basis``'s
-    ValueError, which names the sweep."""
+    is simulated or written; a bad value or a key that is none of these four
+    raises ``InputError`` naming the key, which the CLI prefixes with the
+    config's path. A field whose phase gamma_e B t_c under the protocol
+    ``config`` is not finite is refused: its sine, and every count drawn
+    from it, would be NaN. A sweep the fringe fit could not check against a
+    parabola raises ``parabola_basis``'s ValueError, which names the sweep."""
     gamma_e, t_c = config.budget.gamma_e, config.budget.t_c
     signal = as_float(cfg.get("signal_t", 1e-9), "signal_t")
     if signal <= 0:
@@ -378,6 +404,7 @@ def _sense_settings(cfg: dict, config) -> tuple:
     shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
     if shots_per_point < 1:
         raise InputError(f"shots_per_point must be >= 1, got {shots_per_point}")
+    check_keys(cfg, ("signal_t", "n_shots", "volts", "shots_per_point"))
     return signal, n_shots, grid, shots_per_point
 
 
@@ -476,13 +503,12 @@ def gen_depth(run, depth_nm, pulses, noise, suite):
             for data, d, _ in bundle
         ]
     else:
+        check_train("XY16", pulses)  # the train its sidecar records
         data = synth.make_depth_dataset(
             depth_nm * 1e-9, pulses, noise=noise, seed=run.seed
         )
         items = [(data, "depth_dataset")]
-    for data, stem in items:
-        run.text(f"{stem}.csv", data.to_csv())
-        run.text(f"{stem}.json", data.sidecar() + "\n")
+    run.scans(items)
     return f"wrote {len(items)} dataset(s)"
 
 
@@ -494,10 +520,7 @@ def gen_noise(run, noise, db_below):
     """Coherence-decay family from a surface-noise model spectrum."""
     spectrum = synth.nv3_floor_spectrum(db_below=db_below)
     curves = synth.make_coherence_family(spectrum, noise=noise, seed=run.seed)
-    for curve in curves:
-        stem = f"coherence_n{curve.n_pulses}"
-        run.text(f"{stem}.csv", curve.to_csv())
-        run.text(f"{stem}.json", curve.sidecar() + "\n")
+    run.scans((curve, f"coherence_n{curve.n_pulses}") for curve in curves)
     return f"wrote {len(curves)} curves"
 
 

@@ -22,15 +22,14 @@ enters the +-1 toggling function, so XY16 and CPMG trains share one filter
 and one overlap.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
-from .errors import NumericalError, TableError, as_float, as_int, least_squares
-from .errors import load_json
-from .tables import read_table, write_table
+from .errors import NumericalError, as_float, as_int, least_squares
+from .sequences import check_train
+from .tables import Scan
 
 # proton number densities (m^-3)
 RHO_GLYCERINE = 66e27
@@ -113,12 +112,12 @@ def proton_signal_coherence(
     return np.exp(-(2 / np.pi**2) * GAMMA_E**2 * brms2 * k_vals)
 
 
-_DATASET_HEADER = "tau_s,coherence,sigma"
-
-
 @dataclass
-class DepthDataset:
-    """One proton-NMR depth measurement: dip versus pulse spacing."""
+class DepthDataset(Scan):
+    """One proton-NMR depth measurement, dip versus pulse spacing: a
+    ``tables.Scan`` whose sidecar holds the pulse train (``sequence`` and
+    ``N``, a pair ``sequences.check_train`` takes), the field, the ``sample``
+    name and its proton density."""
 
     taus: np.ndarray
     coherence: np.ndarray
@@ -129,36 +128,20 @@ class DepthDataset:
     rho: float = RHO_GLYCERINE
     family: str = "XY16"
 
-    def __post_init__(self):
-        self.taus = np.asarray(self.taus, dtype=float)
-        self.coherence = np.asarray(self.coherence, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        if not (len(self.taus) == len(self.coherence) == len(self.sigma)):
-            raise ValueError("taus, coherence, sigma must have equal length")
-        if not all(np.isfinite(a).all() for a in (self.taus, self.coherence, self.sigma)):
-            raise ValueError("taus, coherence, sigma must be finite")
-        if np.any(np.diff(self.taus) <= 0):
-            raise ValueError("tau grid must be strictly increasing")
+    HEADER = "tau_s,coherence,sigma"
+    GRID = "tau grid"
 
-    def to_csv(self) -> str:
-        return write_table(_DATASET_HEADER, self.taus, self.coherence, self.sigma)
+    def _meta(self) -> dict:
+        return {
+            "sequence": self.family,
+            "N": self.n_pulses,
+            "b0_tesla": self.b0,
+            "sample": self.sample,
+            "rho_per_nm3": self.rho / 1e27,
+        }
 
-    def sidecar(self) -> str:
-        return json.dumps(
-            {
-                "sequence": self.family,
-                "N": self.n_pulses,
-                "b0_tesla": self.b0,
-                "sample": self.sample,
-                "rho_per_nm3": self.rho / 1e27,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_csv(cls, text: str, sidecar: str) -> "DepthDataset":
-        t, c, s = read_table(text, _DATASET_HEADER)
-        meta = load_json(sidecar)
+    @staticmethod
+    def _fields(meta) -> dict:
         fields = dict(
             n_pulses=as_int(meta["N"], "N"),
             b0=as_float(meta["b0_tesla"], "b0_tesla"),
@@ -166,10 +149,10 @@ class DepthDataset:
             rho=as_float(meta["rho_per_nm3"], "rho_per_nm3") * 1e27,
             family=meta.get("sequence", "XY16"),
         )
-        try:
-            return cls(t, c, s, **fields)
-        except ValueError as exc:  # only the table's columns are checked
-            raise TableError(str(exc)) from exc
+        check_train(fields["family"], fields["n_pulses"])
+        if not isinstance(fields["sample"], str):
+            raise ValueError(f"sample must be a string, got {fields['sample']!r}")
+        return fields
 
 
 @dataclass

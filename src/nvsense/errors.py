@@ -5,7 +5,8 @@ CLI exits 3). A fit or numerical method that cannot return a number it can
 defend raises ``NumericalError`` (the CLI exits 4, as for any other
 ``ArithmeticError``). Every fit goes through ``least_squares``; every JSON
 input through ``load_json``, every JSON count through ``as_int`` and every
-JSON real number through ``as_float``.
+JSON real number through ``as_float``; a JSON config or problem holds only
+the keys ``check_keys`` is given.
 """
 
 import json
@@ -59,6 +60,14 @@ def as_float(value, field: str) -> float:
     if not abs(value) <= sys.float_info.max:
         raise InputError(f"{field} is not a finite number")
     return float(value)
+
+
+def check_keys(obj: dict, keys):
+    """Raise ``InputError`` for the first key of the JSON object ``obj`` that
+    is not among ``keys``, the keys its reader reads."""
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"unknown key {key!r}")
 
 
 def least_squares(model, x, y, p0, bounds, what, sigma=None, maxfev=20000):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU_0
-from .errors import NumericalError, least_squares
+from .errors import NumericalError, TableError, least_squares
 from .tables import read_table
 
 
@@ -288,7 +288,10 @@ _MAGNETOMETER_HEADER = "kind,l_eff_m,eta_t_per_sqrt_hz,ref,e_r_hbar"
 
 def magnetometer_records_from_csv(text: str) -> list[MagnetometerRecord]:
     columns = read_table(text, _MAGNETOMETER_HEADER, text_columns=("kind", "ref"))
-    return [MagnetometerRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    try:
+        return [MagnetometerRecord(*row) for row in zip(*(c.tolist() for c in columns))]
+    except ValueError as exc:  # a row the records refuse: the CLI names the table
+        raise TableError(str(exc)) from exc
 
 
 def load_reference_magnetometers() -> list[MagnetometerRecord]:

@@ -15,16 +15,29 @@ integral above: S(omega) in T^2/Hz on a one-sided grid (omega >= 0),
 numerically equal to the two-sided power spectral density of the field.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import GAMMA_E
-from .errors import TableError, as_int, load_json
-from .tables import read_table, write_table
+from .errors import as_int
+from .tables import Scan
 
 _BASE_BLOCK = {"CPMG": 1, "XY8": 8, "XY16": 16, "RAMSEY": 0}
+
+
+def check_train(family, n_pulses: int):
+    """Raise ``ValueError`` unless ``family`` names a sequence family and
+    ``n_pulses`` is a pulse count it takes: none for RAMSEY, a positive
+    multiple of its base block for the others."""
+    if not isinstance(family, str) or family not in _BASE_BLOCK:
+        raise ValueError(f"unknown sequence family {family!r}")
+    block = _BASE_BLOCK[family]
+    if block == 0:
+        if n_pulses != 0:
+            raise ValueError("RAMSEY carries no pi pulses")
+    elif n_pulses <= 0 or n_pulses % block != 0:
+        raise ValueError(f"{family} needs a positive multiple of {block} pulses")
 
 
 @dataclass(frozen=True)
@@ -36,18 +49,9 @@ class DDSequence:
     total_time: float
 
     def __post_init__(self):
-        if self.family not in _BASE_BLOCK:
-            raise ValueError(f"unknown sequence family {self.family!r}")
+        check_train(self.family, self.n_pulses)
         if self.total_time <= 0:
             raise ValueError("total_time must be > 0")
-        block = _BASE_BLOCK[self.family]
-        if block == 0:
-            if self.n_pulses != 0:
-                raise ValueError("RAMSEY carries no pi pulses")
-        elif self.n_pulses <= 0 or self.n_pulses % block != 0:
-            raise ValueError(
-                f"{self.family} needs a positive multiple of {block} pulses"
-            )
 
     @property
     def omega0(self) -> float:
@@ -79,12 +83,12 @@ def coherence_from_spectrum(spectrum, seq: DDSequence, k_max: int = 200) -> floa
     return float(np.exp(-dphi2 / 2.0))
 
 
-_CURVE_HEADER = "time_s,coherence,sigma"
-
-
 @dataclass
-class CoherenceCurve:
-    """Measured or simulated coherence versus total evolution time."""
+class CoherenceCurve(Scan):
+    """Measured or simulated coherence versus total evolution time: a
+    ``tables.Scan`` whose sidecar holds the pulse train, ``family`` and ``N``,
+    a pair ``check_train`` takes (the defaults when a curve is read without
+    one)."""
 
     times: np.ndarray
     coherence: np.ndarray
@@ -92,34 +96,14 @@ class CoherenceCurve:
     family: str = "XY16"
     n_pulses: int = 0
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.coherence = np.asarray(self.coherence, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        if not (len(self.times) == len(self.coherence) == len(self.sigma)):
-            raise ValueError("times, coherence, sigma must have equal length")
-        if not all(np.isfinite(a).all() for a in (self.times, self.coherence, self.sigma)):
-            raise ValueError("times, coherence, sigma must be finite")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(self.coherence < -0.05) or np.any(self.coherence > 1.05):
-            raise ValueError("coherence outside [-0.05, 1.05]")
+    HEADER = "time_s,coherence,sigma"
+    GRID = "times"
 
-    def to_csv(self) -> str:
-        return write_table(_CURVE_HEADER, self.times, self.coherence, self.sigma)
+    def _meta(self) -> dict:
+        return {"family": self.family, "N": self.n_pulses}
 
-    def sidecar(self) -> str:
-        return json.dumps({"family": self.family, "N": self.n_pulses}, sort_keys=True)
-
-    @classmethod
-    def from_csv(cls, text: str, sidecar: str | None = None) -> "CoherenceCurve":
-        t, c, s = read_table(text, _CURVE_HEADER)
-        family, n = "XY16", 0
-        if sidecar:
-            meta = load_json(sidecar)
-            family, n = meta["family"], as_int(meta["N"], "N")
-        try:
-            return cls(t, c, s, family=family, n_pulses=n)
-        except ValueError as exc:  # only the table's columns are checked
-            raise TableError(str(exc)) from exc
-
+    @staticmethod
+    def _fields(meta) -> dict:
+        family, n_pulses = meta["family"], as_int(meta["N"], "N")
+        check_train(family, n_pulses)
+        return dict(family=family, n_pulses=n_pulses)

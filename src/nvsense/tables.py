@@ -1,4 +1,5 @@
-"""Header-plus-rows CSV tables: the one format every CLI step reads and writes.
+"""Header-plus-rows CSV tables, the one format every CLI step reads and writes,
+and ``Scan``, the codec of the coherence scans stored in them.
 
 A table is a header line of comma-separated column names followed by one
 line per row. Numbers are written with ``str`` of the Python value, which
@@ -8,14 +9,17 @@ gives bit-identical arrays. Text fields must not contain commas.
 Rows are written in blocks of ``_BLOCK_ROWS``, which ``table_blocks`` yields
 one at a time. A block whose columns are all integers is formatted in bulk
 with numpy, digit by digit, into the same bytes; any other block is
-formatted row by row from Python values.
+formatted row by row from Python values. A coherence scan (a depth scan,
+a decoupling decay) is a three-column table plus a JSON sidecar.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 
-from .errors import TableError
+from .errors import InputError, TableError, load_json
 
 _BLOCK_ROWS = 1 << 14
 _INT64 = range(-(2**63), 2**63)
@@ -147,3 +151,48 @@ def read_table(text: str, header: str, text_columns=()) -> tuple:
         np.array(col, dtype=float if k in numeric else str)
         for k, col in enumerate(zip(*rows))
     )
+
+
+class Scan:
+    """A coherence scan: a strictly increasing grid, the coherence on it and
+    its sigma, all finite, with the coherence within [-0.05, 1.05]. A subclass
+    is a dataclass whose first three fields are those columns; it declares
+    its ``HEADER``, its ``GRID``'s name in messages, the sidecar object
+    ``_meta`` and ``_fields``, the keywords read back from a sidecar's value.
+    A scan read without a sidecar takes its defaults. A sidecar value the
+    scan refuses raises ``InputError``, a column value ``TableError``."""
+
+    def _columns(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)[:3]}
+
+    def __post_init__(self):
+        for name, values in self._columns().items():
+            setattr(self, name, np.asarray(values, dtype=float))
+        grid, coherence, sigma = self._columns().values()
+        names = ", ".join(self._columns())
+        if not (len(grid) == len(coherence) == len(sigma)):
+            raise ValueError(f"{names} must have equal length")
+        if not all(np.isfinite(a).all() for a in (grid, coherence, sigma)):
+            raise ValueError(f"{names} must be finite")
+        if np.any(grid[1:] <= grid[:-1]):  # np.diff could overflow
+            raise ValueError(f"{self.GRID} must be strictly increasing")
+        if np.any(coherence < -0.05) or np.any(coherence > 1.05):
+            raise ValueError("coherence outside [-0.05, 1.05]")
+
+    def to_csv(self) -> str:
+        return write_table(self.HEADER, *self._columns().values())
+
+    def sidecar(self) -> str:
+        return json.dumps(self._meta(), sort_keys=True)
+
+    @classmethod
+    def from_csv(cls, text: str, sidecar: str | None = None):
+        columns = read_table(text, cls.HEADER)
+        try:  # a sidecar value the scan refuses: the CLI names the sidecar
+            keywords = {} if sidecar is None else cls._fields(load_json(sidecar))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        try:
+            return cls(*columns, **keywords)
+        except ValueError as exc:  # only the table's columns are checked
+            raise TableError(str(exc)) from exc

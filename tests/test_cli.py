@@ -571,6 +571,8 @@ class TestErlCommand:
         proc = run_cli("--out", tmp_path, "erl", table, check=False)
         assert proc.returncode == 3
         assert "e_r must be finite and > 0" in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {table}: NV: e_r ")
 
     def test_rerun_reproduces(self, tmp_path):
         run_cli("--out", tmp_path, "erl")
@@ -933,6 +935,34 @@ JSON_EDITS = {
     "coherence-sidecar-n-nan": {"N": math.nan},
     "coherence-sidecar-truncated": TRUNCATED,
     "coherence-sidecar-n-missing": {"N": MISSING},
+    "config-unknown-key": {"n_shot": 500},
+    "problem-unknown-key": {"target_infidelty": 0.5},
+    "problem-max-rabi-overflow": {"max_rabi_hz": 1e300},
+    "problem-target-infidelity-above-one": {"target_infidelity": 2.0},
+    "problem-target-infidelity-negative": {"target_infidelity": -1.0},
+    "depth-sidecar-sequence-list": {"sequence": [1]},
+    "depth-sidecar-sequence-unknown": {"sequence": "FOO"},
+    "depth-sidecar-n-not-multiple": {"N": 100},
+    "depth-sidecar-sample-number": {"sample": 5},
+    "coherence-sidecar-family-unknown": {"family": "FOO"},
+    "coherence-sidecar-n-not-multiple": {"N": 17},
+    "coherence-sidecar-ramsey-pulses": {"family": "RAMSEY", "N": 16},
+}
+# values a command refuses before any output: the message after the path
+REFUSALS = {
+    "config-unknown-key": "unknown key 'n_shot'",
+    "problem-unknown-key": "unknown key 'target_infidelty'",
+    "problem-max-rabi-overflow": "max_rabi_hz 1e+300 over piece_duration_s 2.5e-08 "
+    "gives a rotation that is not finite",
+    "problem-target-infidelity-above-one": "target_infidelity must be in (0, 1), got 2.0",
+    "problem-target-infidelity-negative": "target_infidelity must be in (0, 1), got -1.0",
+    "depth-sidecar-sequence-list": "unknown sequence family [1]",
+    "depth-sidecar-sequence-unknown": "unknown sequence family 'FOO'",
+    "depth-sidecar-n-not-multiple": "XY16 needs a positive multiple of 16 pulses",
+    "depth-sidecar-sample-number": "sample must be a string, got 5",
+    "coherence-sidecar-family-unknown": "unknown sequence family 'FOO'",
+    "coherence-sidecar-n-not-multiple": "XY16 needs a positive multiple of 16 pulses",
+    "coherence-sidecar-ramsey-pulses": "RAMSEY carries no pi pulses",
 }
 NON_FINITE = ("-nan", "-inf")
 # a TypeError, a non-finite number, a JSON text that does not parse and a
@@ -983,6 +1013,9 @@ def test_malformed_json_is_data_error(case, depth_bundle, noise_bundle, tmp_path
     if case.endswith(NAMES_KEY):
         (key,) = edit
         assert line.startswith(f"error: {bad}: {key} must be a number, got ")
+    if case in REFUSALS:
+        assert line == f"error: {bad}: {REFUSALS[case]}"
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["depth", "noise", "erl"])
@@ -1066,6 +1099,31 @@ def test_dataset_value_error_names_the_csv(command, depth_bundle, noise_bundle, 
     proc = run_cli("--out", tmp_path / "out", *args, check=False)
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [f"error: {table}: {message}"]
+
+
+@pytest.mark.parametrize("coherence", ["7.0", "-3.0"])
+def test_depth_coherence_outside_range_names_the_csv(coherence, depth_bundle, tmp_path):
+    """A depth scan is held to the coherence range of every scan: it exits 3
+    naming the table before any fit."""
+    table = tmp_path / "depth_dataset.csv"
+    lines = (depth_bundle / "depth_dataset.csv").read_text().splitlines()
+    tau, _, sigma = lines[5].split(",")
+    lines[5] = f"{tau},{coherence},{sigma}"
+    table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    proc = run_cli("--out", out, "depth", table, depth_bundle / "depth_dataset.json", check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"error: {table}: coherence outside [-0.05, 1.05]"]
+    assert list(out.iterdir()) == []
+
+
+def test_gen_depth_refuses_pulses_its_sidecar_cannot_record(tmp_path):
+    """``gen depth`` writes an XY16 sidecar, so it takes only the pulse counts
+    ``depth`` reads back: a positive multiple of 16."""
+    proc = run_cli("--out", tmp_path, "gen", "depth", "--pulses", 100, check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["error: XY16 needs a positive multiple of 16 pulses"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def _run_writing_to(out: Path):

@@ -277,6 +277,12 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="line 1: expected the header"):
             DepthDataset.from_csv("1e-7,0.5,0.01\n", json.dumps({"N": 8}))
 
+    @pytest.mark.parametrize("coherence", [7.0, -3.0])
+    def test_coherence_outside_range(self, coherence):
+        # the range every scan holds, a curve's as well
+        with pytest.raises(ValueError, match=r"coherence outside \[-0.05, 1.05\]"):
+            DepthDataset([1e-7, 2e-7], [0.9, coherence], [0.01, 0.01], 16, B0_MEAS)
+
     def test_validation(self):
         good = [[1e-7, 2e-7], [0.9, 0.5], [0.01, 0.01]]
         with pytest.raises(ValueError, match="equal length"):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvsense.depth import DepthDataset
 from nvsense.protocol import nv3_config, run_experiment
+from nvsense.sequences import CoherenceCurve, check_train
 from nvsense.tables import _BLOCK_ROWS, read_table, table_blocks, write_table
 
 HEADER = "a,b,c"
@@ -23,12 +26,23 @@ NUMBER = st.one_of(st.floats().map(repr), st.integers(-(10**20), 10**20).map(str
 ROW3 = st.tuples(NUMBER, st.text(alphabet="NVSQUID \t", max_size=5), NUMBER).map(
     ",".join
 )
-TEXT = st.one_of(
-    st.text(max_size=80),
-    st.lists(ROW, max_size=6).map("\n".join),
-    st.lists(ROW, max_size=6).map(lambda rows: "\n".join([HEADER] + rows)),
-    st.lists(ROW3, max_size=6).map(lambda rows: "\n".join([HEADER] + rows)),
-)
+NUMBERS3 = st.tuples(NUMBER, NUMBER, NUMBER).map(",".join)
+
+
+def table_texts(header, *rows):
+    """Junk, headerless rows, and ``header`` over rows of ``ROW`` and of each
+    strategy in ``rows``."""
+    return st.one_of(
+        st.text(max_size=80),
+        st.lists(ROW, max_size=6).map("\n".join),
+        *(
+            st.lists(row, max_size=6).map(lambda lines: "\n".join([header] + lines))
+            for row in (ROW, *rows)
+        ),
+    )
+
+
+TEXT = table_texts(HEADER, ROW3)
 
 
 @given(TEXT)
@@ -45,6 +59,80 @@ def test_read_table_parses_or_raises_value_error(text):
     for col in (columns[0], columns[2]):
         assert col.dtype == float
         assert np.all(np.isfinite(col))
+
+
+# rows a scan can accept, sorted by their grid: a small grid value, a
+# coherence near [0, 1] and a sigma
+SCAN_ROWS = st.lists(
+    st.tuples(
+        st.floats(1e-9, 1e-3),
+        st.one_of(st.floats(0.0, 1.0), st.floats(-0.1, 1.1)),
+        st.floats(0.0, 0.1),
+    ),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda row: row[0],
+).map(lambda rows: [",".join(map(repr, row)) for row in sorted(rows)])
+JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["XY16", "XY8", "CPMG", "RAMSEY"]),
+    st.lists(st.integers(), max_size=2),
+)
+SIDECARS = {
+    DepthDataset: {
+        "sequence": "XY16", "N": 16, "b0_tesla": 0.035, "sample": "glycerine",
+        "rho_per_nm3": 66.0,
+    },
+    CoherenceCurve: {"family": "XY16", "N": 16},
+}
+
+
+def _edited(valid, dropped, values):
+    kept = {k: v for k, v in valid.items() if k not in dropped}
+    return json.dumps({**kept, **values})
+
+
+def sidecar_texts(valid):
+    """Junk, any JSON value, ``valid``, and ``valid`` with keys dropped,
+    added or set to any JSON value."""
+    return st.one_of(
+        st.text(max_size=40),
+        JSON_VALUE.map(json.dumps),
+        st.just(json.dumps(valid)),
+        st.builds(
+            _edited,
+            st.just(valid),
+            st.sets(st.sampled_from(sorted(valid))),
+            st.dictionaries(st.sampled_from([*valid, "extra"]), JSON_VALUE, max_size=3),
+        ),
+    )
+
+
+@pytest.mark.parametrize("kind", SIDECARS, ids=lambda kind: kind.__name__)
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_scan_reader_returns_a_scan_or_a_data_error(kind, data):
+    """Any table and sidecar text gives a scan, or one of the exceptions
+    that the CLI turns into exit 3."""
+    if data.draw(st.booleans()):
+        table = data.draw(table_texts(kind.HEADER, NUMBERS3))
+    else:
+        table = "\n".join([kind.HEADER] + data.draw(SCAN_ROWS))
+    sidecar = data.draw(st.one_of(sidecar_texts(SIDECARS[kind]), st.none()))
+    try:
+        scan = kind.from_csv(table, sidecar)
+    except (ValueError, KeyError, TypeError):
+        return
+    grid, coherence, sigma = scan._columns().values()
+    assert len(grid) == len(coherence) == len(sigma) >= 1
+    assert np.all(grid[1:] > grid[:-1])
+    assert np.all((coherence >= -0.05) & (coherence <= 1.05))
+    if sidecar is not None:
+        check_train(scan.family, scan.n_pulses)
 
 
 @given(
