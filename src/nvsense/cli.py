@@ -331,19 +331,6 @@ def grape(run, problem_json):
         piece_duration=as_float(spec["piece_duration_s"], "piece_duration_s"),
         max_rabi_hz=as_float(spec["max_rabi_hz"], "max_rabi_hz"),
     )
-    # GRAPE's kernel squares each member's drive quadratures (each at most
-    # max_rabi_hz, scaled) and detuning in rad/s, and turns a piece by the
-    # root of their sum times the piece's duration
-    drive = [[m.amplitude_scale * problem.max_rabi_hz] * 2 + [m.detuning_hz]
-             for m in problem.ensemble]
-    with np.errstate(over="ignore"):
-        v = np.pi * np.float64(drive)
-        turn = np.sqrt(np.sum(v**2, axis=-1)) * problem.piece_duration
-    if not np.all(np.isfinite(turn)):
-        raise InputError(
-            f"max_rabi_hz {problem.max_rabi_hz!r} over piece_duration_s "
-            f"{problem.piece_duration!r} gives a rotation that is not finite"
-        )
     target_infidelity = as_float(spec.get("target_infidelity", 1e-5), "target_infidelity")
     if not 0 < target_infidelity < 1:
         raise InputError(f"target_infidelity must be in (0, 1), got {target_infidelity!r}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
-from .errors import NumericalError, as_float, as_int, least_squares
+from .errors import InputError, NumericalError, as_float, as_int, least_squares
 from .sequences import check_train
 from .tables import Scan
 
@@ -117,7 +117,9 @@ class DepthDataset(Scan):
     """One proton-NMR depth measurement, dip versus pulse spacing: a
     ``tables.Scan`` whose sidecar holds the pulse train (``sequence`` and
     ``N``, a pair ``sequences.check_train`` takes), the field, the ``sample``
-    name and its proton density."""
+    name and its proton density. A sidecar's ``b0_tesla`` or ``rho_per_nm3``
+    that is not > 0, or whose proton Larmor frequency or density is past the
+    float range, is refused."""
 
     taus: np.ndarray
     coherence: np.ndarray
@@ -152,6 +154,15 @@ class DepthDataset(Scan):
         check_train(fields["family"], fields["n_pulses"])
         if not isinstance(fields["sample"], str):
             raise ValueError(f"sample must be a string, got {fields['sample']!r}")
+        # the fit needs a finite proton density and Larmor frequency, both > 0
+        for key, value, derived, what in (
+            ("rho_per_nm3", meta["rho_per_nm3"], fields["rho"], "a proton density"),
+            ("b0_tesla", fields["b0"], GAMMA_H * fields["b0"], "a proton Larmor frequency"),
+        ):
+            if not value > 0:
+                raise InputError(f"{key} must be > 0, got {value!r}")
+            if not np.isfinite(derived):
+                raise InputError(f"{key} {value!r} gives {what} that is not finite")
         return fields
 
 
@@ -168,15 +179,19 @@ def fit_depth(data: DepthDataset) -> DepthFit:
 
     The depth enters only through rho / d^3 (times the line overlap), so a
     wrong sample density shifts the fitted depth by the corresponding
-    cube-root factor. A fit that ends within 1e-6 (relative) of a bound, or
-    whose depth sigma is not below the depth, is refused.
+    cube-root factor. The fit runs over the depth in nm (``d_nm``, bounds
+    1-500) and the log of the linewidth in rad/s (``log_lam``, bounds
+    log 1e3 to log 1e7); one that ends on a bound (``errors.least_squares``'s
+    rule), or whose depth sigma is not below the depth, is refused.
     """
     if np.min(data.coherence) >= 0.95:
         raise NumericalError("no visible dip (min coherence >= 0.95)")
     omega_l = GAMMA_H * data.b0
     taus = data.taus
     c_obs = data.coherence
-    weights = 1.0 / data.sigma if np.all(data.sigma > 0) else np.ones_like(taus)
+    # the scan's sigma weights the start and the polish alike, or neither
+    sigma = data.sigma if np.all(data.sigma > 0) else None
+    weights = np.ones_like(taus) if sigma is None else 1.0 / sigma
 
     # bounds on (depth in nm, linewidth in rad/s). The polish works in nm and
     # log rad/s, both of order 10: its finite-difference steps (relative to a
@@ -208,17 +223,10 @@ def fit_depth(data: DepthDataset) -> DepthFit:
     popt, pcov = least_squares(
         model_log, taus, c_obs, (d_best, np.log(lam_best)),
         ([lo[0], np.log(lo[1])], [hi[0], np.log(hi[1])]), "depth fit",
-        sigma=data.sigma if np.all(data.sigma > 0) else None, maxfev=400,
+        sigma=sigma, maxfev=400,
     )
     d_nm, lam = float(popt[0]), float(np.exp(popt[1]))
     d_sigma_nm = float(np.sqrt(pcov[0, 0]))
-    # within 1e-6 of a bound, relative to that bound
-    fitted = np.array([d_nm, lam])
-    if np.any((fitted <= lo * (1 + 1e-6)) | (fitted >= hi * (1 - 1e-6))):
-        raise NumericalError(
-            f"depth fit ends on a bound: depth {d_nm:.6g} nm (bounds 1-500), "
-            f"linewidth {lam:.7g} rad/s (bounds 1e3-1e7)"
-        )
     if d_sigma_nm >= d_nm:
         raise NumericalError(
             f"depth fit cannot resolve the depth: "

@@ -3,12 +3,14 @@
 Malformed or out-of-range input raises the built-in ``ValueError`` (the
 CLI exits 3). A fit or numerical method that cannot return a number it can
 defend raises ``NumericalError`` (the CLI exits 4, as for any other
-``ArithmeticError``). Every fit goes through ``least_squares``; every JSON
+``ArithmeticError``). Every fit goes through ``least_squares``, which
+also refuses a fit that ends on one of its bounds; every JSON
 input through ``load_json``, every JSON count through ``as_int`` and every
 JSON real number through ``as_float``; a JSON config or problem holds only
 the keys ``check_keys`` is given.
 """
 
+import inspect
 import json
 import sys
 import warnings
@@ -73,8 +75,15 @@ def check_keys(obj: dict, keys):
 def least_squares(model, x, y, p0, bounds, what, sigma=None, maxfev=20000):
     """``curve_fit`` of ``model`` to (x, y) -> (popt, pcov). No more points
     than parameters, a fit that does not converge or starts outside ``bounds``,
-    or a covariance that is not finite, raises ``NumericalError`` naming the
-    fit ``what``, with no warning."""
+    a fit that ends on a bound, or a covariance that is not finite, raises
+    ``NumericalError`` naming the fit ``what``, with no warning.
+
+    A fitted parameter ends on a finite bound b when it lies within
+    1e-6 * max(1, |b|) of it: scipy's active-constraint test
+    (``find_active_constraints``) at a tolerance of 1e-6. The bound, not the
+    data, then fixed that parameter, so the fit is no estimate of it; the
+    message names the parameter as ``model``'s signature does, its value and
+    the bound."""
     # with no residual degree of freedom curve_fit's covariance is infinite
     if len(x) <= len(p0):
         raise NumericalError(
@@ -91,6 +100,15 @@ def least_squares(model, x, y, p0, bounds, what, sigma=None, maxfev=20000):
             )
     except (RuntimeError, ValueError) as exc:
         raise NumericalError(f"{what} did not converge: {exc}") from exc
+    names = list(inspect.signature(model).parameters)[1:]
+    lower, upper = np.broadcast_arrays(*bounds, popt)[:2]
+    for name, p, lo, hi in zip(names, popt, lower, upper):
+        for b in (lo, hi):
+            # an infinite bound is never reached, though |p - inf| <= inf holds
+            if np.isfinite(b) and abs(p - b) <= 1e-6 * max(1.0, abs(b)):
+                raise NumericalError(
+                    f"{what} ends on a bound: {name} {p:.7g} (bound {b:.7g})"
+                )
     if not np.all(np.isfinite(pcov)):
         raise NumericalError(f"{what} covariance is not finite with {len(x)} point(s)")
     return popt, pcov

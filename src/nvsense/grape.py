@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import A_PARALLEL_HZ
+from .errors import InputError
 from .tables import write_table
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,7 +53,8 @@ class GrapeProblem:
 
     The robustness ensemble emulates simultaneous control of the electron
     spin in both nuclear-spin subspaces: the default detunings are
-    {0, +-A_par/2}.
+    {0, +-A_par/2}. A ``max_rabi_hz`` whose rotation per piece is not finite
+    raises ``errors.InputError``.
     """
 
     target: np.ndarray
@@ -70,6 +72,19 @@ class GrapeProblem:
             raise ValueError("n_pieces must be >= 1")
         if self.piece_duration <= 0 or self.max_rabi_hz <= 0:
             raise ValueError("piece_duration and max_rabi_hz must be > 0")
+        # the kernel squares each member's drive quadratures (each at most
+        # max_rabi_hz, scaled) and detuning in rad/s, and turns a piece by the
+        # root of their sum times the piece's duration
+        drive = [[m.amplitude_scale * self.max_rabi_hz] * 2 + [m.detuning_hz]
+                 for m in self.ensemble]
+        with np.errstate(over="ignore"):
+            v = np.pi * np.float64(drive)
+            turn = np.sqrt(np.sum(v**2, axis=-1)) * self.piece_duration
+        if not np.all(np.isfinite(turn)):
+            raise InputError(
+                f"max_rabi_hz {self.max_rabi_hz!r} over piece_duration_s "
+                f"{self.piece_duration!r} gives a rotation that is not finite"
+            )
         t = np.asarray(self.target)
         # a unitary target keeps |Tr(T^dag U)| / 2, and so the fidelity, in [0, 1]
         if t.shape != (2, 2) or not np.linalg.norm(t.conj().T @ t - np.eye(2)) <= 1e-12:

@@ -187,9 +187,10 @@ def fit_lorentzian(omega0, s0) -> LorentzianFit:
     """Fit the model's S0 to zeroth-order data (``s0`` > 0 at passband centers
     ``omega0``) in relative residuals and scaled parameters: A and F over max
     S0, log W over the bands' geometric center, with A >= 0 and W from 1/100
-    of the lowest band to 100 times the highest. A fit that fails or ends
-    within 1e-6 of a bound has not resolved the Lorentzian: the floor is then
-    fitted alone and the fit flagged ``degenerate_width``."""
+    of the lowest band to 100 times the highest. A fit that fails or ends on
+    a bound (``errors.least_squares``'s rule) has not resolved the
+    Lorentzian: the floor is then fitted alone and the fit flagged
+    ``degenerate_width``."""
     omega0, s0 = np.asarray(omega0, dtype=float), np.asarray(s0, dtype=float)
     if not np.all(s0 > 0):
         raise ValueError("zeroth-order densities must be > 0")
@@ -202,22 +203,19 @@ def fit_lorentzian(omega0, s0) -> LorentzianFit:
             lambda u, a, log_g, f: _zeroth(u, a, np.exp(log_g), f),
             u, y, (1 - y.min(), 0.0, y.min()), (lo, hi), "Lorentzian fit", sigma=y,
         )
-        resolved = bool(np.all((p - lo > 1e-6) & (hi - p > 1e-6)))
-    except NumericalError:
-        resolved = False
-    if resolved:
-        (a, log_g, f), (sig_a, sig_log_g, sig_f) = p, np.sqrt(np.diag(cov))
-        scaled = (a, math.exp(log_g), f)
-        sigmas = (sig_a * s_scale, sig_log_g * scaled[1] * w_scale)
-    else:
+    except NumericalError:  # unresolved: the floor alone, which flags the fit
         p, cov = least_squares(
             lambda u, f: np.full_like(u, f), u, y, (1.0,), (-np.inf, np.inf), "floor fit", sigma=y
         )
         scaled, sigmas, sig_f = (0.0, 0.0, p[0]), (None, None), math.sqrt(cov[0, 0])
+    else:
+        (a, log_g, f), (sig_a, sig_log_g, sig_f) = p, np.sqrt(np.diag(cov))
+        scaled = (a, math.exp(log_g), f)
+        sigmas = (sig_a * s_scale, sig_log_g * scaled[1] * w_scale)
     r = _zeroth(u, *scaled) / y - 1
     return LorentzianFit(
         scaled[0] * s_scale, scaled[1] * w_scale, scaled[2] * s_scale, *sigmas,
-        sig_f * s_scale, r @ r / (len(r) - len(p)), not resolved,
+        sig_f * s_scale, r @ r / (len(r) - len(p)), len(p) == 1,
     )
 
 

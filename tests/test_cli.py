@@ -944,6 +944,10 @@ JSON_EDITS = {
     "depth-sidecar-sequence-unknown": {"sequence": "FOO"},
     "depth-sidecar-n-not-multiple": {"N": 100},
     "depth-sidecar-sample-number": {"sample": 5},
+    "depth-sidecar-rho-zero": {"rho_per_nm3": 0},
+    "depth-sidecar-rho-overflow": {"rho_per_nm3": 1e300},
+    "depth-sidecar-b0-overflow": {"b0_tesla": 1e300},
+    "depth-sidecar-b0-negative": {"b0_tesla": -0.035},
     "coherence-sidecar-family-unknown": {"family": "FOO"},
     "coherence-sidecar-n-not-multiple": {"N": 17},
     "coherence-sidecar-ramsey-pulses": {"family": "RAMSEY", "N": 16},
@@ -960,6 +964,10 @@ REFUSALS = {
     "depth-sidecar-sequence-unknown": "unknown sequence family 'FOO'",
     "depth-sidecar-n-not-multiple": "XY16 needs a positive multiple of 16 pulses",
     "depth-sidecar-sample-number": "sample must be a string, got 5",
+    "depth-sidecar-rho-zero": "rho_per_nm3 must be > 0, got 0",
+    "depth-sidecar-rho-overflow": "rho_per_nm3 1e+300 gives a proton density that is not finite",
+    "depth-sidecar-b0-overflow": "b0_tesla 1e+300 gives a proton Larmor frequency that is not finite",
+    "depth-sidecar-b0-negative": "b0_tesla must be > 0, got -0.035",
     "coherence-sidecar-family-unknown": "unknown sequence family 'FOO'",
     "coherence-sidecar-n-not-multiple": "XY16 needs a positive multiple of 16 pulses",
     "coherence-sidecar-ramsey-pulses": "RAMSEY carries no pi pulses",

@@ -42,6 +42,35 @@ def test_least_squares_refusals_raise_without_warning(x, p0, maxfev, message, ca
     assert caught == []
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        # the decay rate 0.7 lies below the lower bound 1
+        (([0, 1], [10, 10]), "decay fit ends on a bound: k 1 (bound 1)"),
+        # the amplitude 2 lies above the upper bound 1.5
+        (([0, 0], [1.5, 10]), "decay fit ends on a bound: a 1.5 (bound 1.5)"),
+    ],
+    ids=["lower", "upper"],
+)
+def test_least_squares_refuses_a_fit_that_ends_on_a_bound(bounds, message):
+    """The fit stops on the bound, which the message names with the
+    parameter's name from the model's signature."""
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        least_squares(decay, X, Y, (1.0, 1.5), bounds, "decay fit")
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(-np.inf, np.inf), ([-np.inf, 0], [np.inf, np.inf]), ([0, -np.inf], [np.inf, 0.7 + 1e-5])],
+    ids=["unbounded", "half-bounded", "near-but-off-a-bound"],
+)
+def test_least_squares_keeps_a_fit_off_its_bounds(bounds):
+    """A parameter far from an infinite bound, or 1e-5 from a finite bound of
+    order 1, is not on it: |p - inf| <= inf must not count as reaching it."""
+    popt, _ = least_squares(decay, X, Y, (1.0, 0.5), bounds, "decay fit")
+    np.testing.assert_allclose(popt, [2.0, 0.7], rtol=1e-8)
+
+
 @pytest.mark.parametrize("n_points", [1, 2])
 def test_least_squares_counts_points_before_fitting(n_points):
     """With no more points than parameters the fit is refused before the model

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvsense.errors import InputError
 from nvsense.grape import (
     EnsembleMember,
     GrapeProblem,
@@ -82,6 +83,18 @@ def test_target_that_is_not_a_unitary_rejected(target):
     # |Tr(T^dag U)|^2 / 4 is a fidelity in [0, 1] only for a unitary T
     with pytest.raises(ValueError, match="target must be a 2x2 unitary"):
         _singleton_problem(target)
+
+
+@pytest.mark.parametrize(
+    "max_rabi, ensemble",
+    [(1e300, None), (1e6, (EnsembleMember(1.7e308, 1.0, 1.0),))],
+    ids=["drive", "detuning"],
+)
+def test_rotation_that_overflows_is_refused(max_rabi, ensemble):
+    # the kernel would turn a piece by an infinite angle and return NaN
+    extra = {} if ensemble is None else {"ensemble": ensemble}
+    with pytest.raises(InputError, match="gives a rotation that is not finite"):
+        GrapeProblem(rotation_target(np.pi), 4, DT, max_rabi, **extra)
 
 
 def test_fidelity_orthogonal_case():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvsense.constants import GAMMA_H
 from nvsense.depth import DepthDataset
 from nvsense.protocol import nv3_config, run_experiment
 from nvsense.sequences import CoherenceCurve, check_train
@@ -133,6 +134,9 @@ def test_scan_reader_returns_a_scan_or_a_data_error(kind, data):
     assert np.all((coherence >= -0.05) & (coherence <= 1.05))
     if sidecar is not None:
         check_train(scan.family, scan.n_pulses)
+    if kind is DepthDataset:
+        assert np.isfinite(scan.rho) and scan.rho > 0
+        assert np.isfinite(GAMMA_H * scan.b0) and GAMMA_H * scan.b0 > 0
 
 
 @given(
