@@ -24,9 +24,11 @@ flushed, so it skips exit handlers and interpreter finalization; an
 in-process call of ``main`` keeps click's normal return or ``SystemExit``.
 """
 
+import contextlib
 import functools
 import json
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,6 +76,68 @@ EXIT_NUMERICAL = 4
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _forked(what: str, func, *args):
+    """Run ``func(*args)`` in a child process while the ``with`` block runs.
+
+    Yields ``result``, which waits for the child and returns ``func``'s value
+    or raises its exception; a child that ends without one (killed, or its
+    pickle unreadable) raises ``NumericalError`` naming ``what``. The child
+    gets a copy of the process as it is at the fork, so the caller forks while
+    it has one thread; it writes only its pickled outcome to a pipe and ends
+    with ``os._exit``. The child is reaped before the block is left, and
+    killed first if the block is left without ``result`` called."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            import gc
+
+            # a collection would write to, and so copy, every page of objects
+            # the child shares with its parent; the short-lived child skips them
+            gc.disable()
+            os.close(read)
+            try:
+                outcome = (True, func(*args))
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(write, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    pipe = open(read, "rb")
+    status = None
+
+    def result():
+        nonlocal status
+        data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        try:
+            ok, value = pickle.loads(data)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            raise NumericalError(
+                f"{what} ended without a result (child exit code {code})"
+            ) from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if status is None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass
@@ -412,22 +476,24 @@ def sense(run):
         volts=("applied AWG voltage (V)", volts),
         mean_photons=("mean readout photons per shot", counts),
     )
-    # the shot table is the one output that grows with n_shots: it is
-    # written block by block, and eta(t) is summed from the 4-byte record.
-    # The record and its transients are released before the fringe fit first
-    # loads scipy, so the peak RSS is scipy's, whatever the shot count
-    shots = run_experiment(config, signal, n_shots, seed=run.seed, workers=run.threads)
-    run.text("shots.csv", shots.csv_blocks())
-    times, eta, asym = sensitivity_from_timeseries(
-        shots.photons, shots.signs, signal, config.shot_duration
-    )
-    del shots
-    run.plot(
-        "eta_vs_time",
-        averaging_time_s=("averaging time (s)", times),
-        eta_t_per_sqrt_hz=("sensitivity (T/sqrt(Hz))", eta),
-    )
-    fringe = fit_fringe(volts, counts, config.budget.t_c)
+    # the fringe fit needs the fringe alone, so a child forked here fits it,
+    # scipy's import included, while this process runs the shot phase. The
+    # child forks before the shot record exists and this process never loads
+    # scipy, so the record never sits on top of scipy's memory. The shot
+    # table is written block by block, and eta(t) summed from the record
+    with _forked("fringe fit", fit_fringe, volts, counts, config.budget.t_c) as fringe_fit:
+        shots = run_experiment(config, signal, n_shots, seed=run.seed, workers=run.threads)
+        run.text("shots.csv", shots.csv_blocks())
+        times, eta, asym = sensitivity_from_timeseries(
+            shots.photons, shots.signs, signal, config.shot_duration
+        )
+        del shots
+        run.plot(
+            "eta_vs_time",
+            averaging_time_s=("averaging time (s)", times),
+            eta_t_per_sqrt_hz=("sensitivity (T/sqrt(Hz))", eta),
+        )
+        fringe = fringe_fit()
     budget = config.budget.as_dict()
     budget["eta_asymptote_t_per_sqrt_hz"] = asym
     budget["fitted_b_v_t_per_v"] = fringe.b_v

@@ -181,8 +181,10 @@ def fit_depth(data: DepthDataset) -> DepthFit:
     wrong sample density shifts the fitted depth by the corresponding
     cube-root factor. The fit runs over the depth in nm (``d_nm``, bounds
     1-500) and the log of the linewidth in rad/s (``log_lam``, bounds
-    log 1e3 to log 1e7); one that ends on a bound (``errors.least_squares``'s
-    rule), or whose depth sigma is not below the depth, is refused.
+    log 1e3 to log 1e7); one whose start depth, the scan's best fit with the
+    linewidth on a grid, is outside its box, one that ends on a bound
+    (``errors.least_squares``'s rule), or one whose depth sigma is not below
+    the depth, is refused.
     """
     if np.min(data.coherence) >= 0.95:
         raise NumericalError("no visible dip (min coherence >= 0.95)")
@@ -215,6 +217,11 @@ def fit_depth(data: DepthDataset) -> DepthFit:
     if q_best <= 0:
         raise NumericalError("dip amplitude fitted to zero")
     d_best = float((q_per_nm3 / q_best) ** (1 / 3))
+    if not lo[0] <= d_best <= hi[0]:
+        raise NumericalError(
+            f"depth fit: the dip implies a depth of {d_best:.3g} nm, outside "
+            f"the fit's {lo[0]:g}-{hi[0]:g} nm box"
+        )
 
     def model_log(tau, d_nm, log_lam):
         q = q_per_nm3 / d_nm**3

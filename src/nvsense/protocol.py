@@ -11,6 +11,7 @@ straight into the shot record.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,11 +287,15 @@ def run_experiment(
     owns an independent counter-based stream, so any ``workers`` count
     produces identical results.
 
-    The calling thread is worker 0 and ``workers - 1`` helper threads join
-    it, none for ``workers=1``. Worker i simulates batches i, i + workers,
-    ... and writes each into the record as soon as it is drawn, so no batch
-    waits in a queue. The batch kernels' large numpy draws release the
-    interpreter lock, which is what a helper thread overlaps.
+    The calling thread is worker 0. ``workers - 1`` helper threads (none for
+    ``workers=1``) are started before it draws and joined after it, and a
+    worker's exception is raised once every worker has ended.
+    Worker i simulates batches i, i + workers, ... and writes each into the
+    record as soon as it is drawn, so no batch waits in a queue. The batch
+    kernels' numpy draws (``poisson``, ``geometric``, ``random``) and array
+    operations release the interpreter lock while they run, and the Python
+    between them holds it; so a helper overlaps worker 0's draws, and only
+    when a second CPU is free.
 
     ``photons`` is stored in the narrowest unsigned dtype that holds
     ``photon_bound(config.readout)``; a batch that draws beyond it raises
@@ -318,16 +323,26 @@ def run_experiment(
             init_cycles[sl] = cycles
             photons[sl] = pho
 
-    if workers == 1:
-        work(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # off the CLI's start-up
+    failures = []
 
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            helpers = [pool.submit(work, first) for first in range(1, workers)]
-            work(0)
-            for helper in helpers:
-                helper.result()
+    def helper(first):
+        try:
+            work(first)
+        except BaseException as exc:
+            failures.append(exc)
+
+    # a thread per helper, started up front: an executor starts a thread only
+    # while none is idle, so it could run two helpers on one thread
+    helpers = [threading.Thread(target=helper, args=(i,)) for i in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failures:
+        raise failures[0]
     return ExperimentRun(signs, init_cycles, photons)
 
 

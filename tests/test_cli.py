@@ -423,6 +423,27 @@ class TestDepthCommand:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ")
 
+    @pytest.mark.parametrize("rho_per_nm3", [1e250, 1e-300])
+    def test_start_depth_outside_the_box_is_numerical_error(self, rho_per_nm3, tmp_path):
+        """A proton density that puts the 26.3 nm suite scan's dip at a depth
+        outside the fit's 1-500 nm box exits 4 naming that depth and the box;
+        the fit is not started from outside its bounds."""
+        run_cli("--out", tmp_path, "gen", "depth", "--suite")
+        meta = json.loads((tmp_path / "depth_26p3nm.json").read_text())
+        sidecar = tmp_path / "rho.json"
+        sidecar.write_text(json.dumps({**meta, "rho_per_nm3": rho_per_nm3}))
+        out = tmp_path / "fit"
+        proc = run_cli(
+            "--out", out, "depth", tmp_path / "depth_26p3nm.csv", sidecar, check=False
+        )
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        prefix, box = "error: depth fit: the dip implies a depth of ", " nm, outside"
+        assert line.startswith(prefix) and line.endswith(" the fit's 1-500 nm box")
+        depth_nm = float(line[len(prefix):line.index(box)])
+        assert depth_nm > 500 if rho_per_nm3 > 1 else depth_nm < 1
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_missing_file_is_usage_error(self, tmp_path):
         proc = run_cli(
             "--out", tmp_path, "depth", "/nonexistent.csv", "/nonexistent.json",
@@ -753,10 +774,12 @@ class TestSenseCommand:
         not Path("/proc/self/status").exists(), reason="no /proc/self/status"
     )
     def test_peak_rss_does_not_grow_with_the_shot_count(self, tmp_path):
-        """Ten times the shots leave the peak RSS of one sense process
-        within 2 MB: the shot phase peaks below the fit's scipy import.
-        The peak is VmHWM, which exec resets; a child's ru_maxrss keeps
-        the RSS of the process that started it, here the test runner's."""
+        """Ten times the shots leave the peak RSS of one sense process tree
+        within 2 MB: the forked fringe fit, which alone loads scipy, starts
+        before the shot record exists, and the shot phase peaks below it.
+        The tree's peak is the larger of the process's VmHWM and its reaped
+        children's ru_maxrss, as a parent's wait4 reports it; the process
+        itself never imports scipy."""
 
         def peak_mb(n_shots):
             cfg = tmp_path / f"cfg{n_shots}.json"
@@ -764,18 +787,84 @@ class TestSenseCommand:
             argv = ["--threads", "2", "--config", str(cfg)]
             argv += ["--out", str(tmp_path / str(n_shots)), "sense"]
             code = (
+                "import resource, sys\n"
                 "from nvsense.cli import main\n"
                 f"main({argv!r}, standalone_mode=False)\n"
-                "print(next(line.split()[1] for line in open('/proc/self/status')"
-                " if line.startswith('VmHWM:')))\n"
+                "hwm = next(int(line.split()[1]) for line in open('/proc/self/status')"
+                " if line.startswith('VmHWM:'))\n"
+                "child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+                "print(max(hwm, child), 'scipy' in sys.modules)\n"
             )
             proc = subprocess.run(
                 [sys.executable, "-c", code], capture_output=True, text=True, check=True
             )
-            return int(proc.stdout.splitlines()[-1]) / 1024
+            peak, scipy_loaded = proc.stdout.splitlines()[-1].split()
+            assert scipy_loaded == "False"
+            return int(peak) / 1024
 
         small, large = peak_mb(120_000), peak_mb(1_200_000)
         assert large - small < 2.0, f"{small:.1f} MB -> {large:.1f} MB"
+
+    @pytest.mark.parametrize("case", ["fits", "fit-fails", "shots-fail"])
+    def test_no_process_outlives_sense(self, case, tmp_path):
+        """The forked fringe fit is reaped on every path: after a sense that
+        succeeds, one whose fit fails (exit 4 after the shot outputs) and one
+        whose shot phase raises while the fit runs (exit 4), the process has
+        no child left."""
+        config = {"n_shots": 2000, "shots_per_point": 500}
+        if case == "fit-fails":
+            config["volts"] = [0.0, 0.05, 8]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "out"), "sense"]
+        code = (
+            "import os\n"
+            "import nvsense.cli as cli\n"
+            "def fail(*args, **kwargs):\n"
+            "    raise cli.NumericalError('shot phase failed')\n"
+            f"if {case == 'shots-fail'}:\n"
+            "    cli.run_experiment = fail\n"
+            "try:\n"
+            f"    cli.main({argv!r}, standalone_mode=False)\n"
+            "    code = 0\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print(code, 'child left')\n"
+            "except ChildProcessError:\n"
+            "    print(code, 'no child')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=300,
+        )
+        expected = "0 no child" if case == "fits" else "4 no child"
+        assert proc.stdout.splitlines()[-1] == expected
+        assert (tmp_path / "out" / "budget.json").exists() == (case == "fits")
+
+    def test_fit_that_ends_without_a_result_exits_4(self, tmp_path):
+        """A fringe fit whose process dies before it sends a result exits 4
+        with one error line, no traceback and no manifest."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_shots": 2000, "shots_per_point": 500}))
+        out = tmp_path / "out"
+        argv = ["nvsense", "--config", str(cfg), "--out", str(out), "sense"]
+        code = (
+            "import os, sys\n"
+            "import nvsense.cli as cli\n"
+            "cli.fit_fringe = lambda *args: os._exit(9)\n"
+            f"sys.argv = {argv!r}\n"
+            "cli.main()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        assert line == "error: fringe fit ended without a result (child exit code 9)"
+        assert not (out / "manifest.json").exists()
+        assert not (out / "budget.json").exists()
 
     def test_sweep_under_a_period_exits_4_after_the_shot_outputs(self, tmp_path):
         """A fringe fit that fails runs after the shot table and eta(t) are

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -337,6 +338,23 @@ class TestRunExperiment:
         monkeypatch.setattr(protocol, "_readout_photons", too_many)
         with pytest.raises(NumericalError, match="681 photons"):
             run_experiment(cfg, 1e-9, 5000, seed=8)
+
+    def test_helper_error_is_raised_once_every_worker_ends(self, monkeypatch):
+        # of two batches, the short second one, a helper's, draws too many
+        cfg = nv3_config()
+        bound = photon_bound(cfg.readout)
+
+        def too_many(model, rng, states):
+            photons = _readout_photons(model, rng, states)
+            if len(states) < BATCH_SIZE:
+                photons[-1] = bound + 1
+            return photons
+
+        monkeypatch.setattr(protocol, "_readout_photons", too_many)
+        threads = threading.active_count()
+        with pytest.raises(NumericalError, match="681 photons"):
+            run_experiment(cfg, 1e-9, BATCH_SIZE + 5, seed=8, workers=2)
+        assert threading.active_count() == threads
 
     def test_workers_beyond_the_cores_write_the_serial_record(self):
         # five workers stride over 13 batches, the last one short, into
