@@ -13,10 +13,13 @@ lacks a key, is not an object, holds a value of the wrong type
 an infinity (``errors.InputError``), a config or problem key the command
 does not read or a sidecar pulse train ``DDSequence`` refuses
 (``errors.InputError``), a CSV line its table does not allow or a table
-value its records refuse (``errors.TableError``), a manifest
-whose command is not a list of strings or is itself a ``rerun``, or a
-recorded input that is missing or changed), 4 numerical failure
-(``errors.NumericalError`` or any other ``ArithmeticError``).
+value its records refuse (``errors.TableError``), a numeric option that
+is not finite or whose derived quantity is not finite and > 0, an ``--out``
+that cannot be created, a manifest whose command is not a list of strings
+or is itself a ``rerun`` or that records no outputs, or a recorded input
+that is missing or changed), 4 numerical failure (``errors.NumericalError``
+or any other ``ArithmeticError``, or an array too large to allocate, a
+``MemoryError``).
 
 A standalone process (the ``nvsense`` script, ``python -m nvsense``) ends
 with ``os._exit`` as soon as its exit code is known and its streams are
@@ -26,7 +29,9 @@ in-process call of ``main`` keeps click's normal return or ``SystemExit``.
 
 import contextlib
 import functools
+import importlib.util
 import json
+import math
 import os
 import pickle
 import sys
@@ -43,31 +48,40 @@ import click
 import numpy as np
 
 from . import __version__
-from .depth import DepthDataset, fit_depth
+from .depth import RHO_GLYCERINE, DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
 from .errors import InputError, NumericalError, TableError, as_float, as_int
 from .errors import check_keys, load_json
-from .grape import GrapeProblem, fidelity, optimize, rotation_target
 from .manifest import RunManifest
-from .noisespec import (
-    PASSES,
-    db_below_erl,
-    deduct_t1,
-    erl_noise_line,
-    reconstruct_spectrum,
-)
-from .protocol import nv3_config, run_experiment, simulate_fringe
-from .sensitivity import (
-    erl_table_check,
-    fit_fringe,
-    load_reference_magnetometers,
-    magnetometer_records_from_csv,
-    parabola_basis,
-    sensitivity_from_timeseries,
-)
 from .sequences import CoherenceCurve, DDSequence, check_train
 from .tables import table_blocks
-from . import synth
+
+
+def _lazy(name: str):
+    """The package module ``name``, bound now and executed on its first
+    attribute access: the importlib docs' lazy-import recipe
+    (``importlib.util.LazyLoader``). It is registered in ``sys.modules`` and
+    on the package, as an import would; a module already imported is
+    returned as it is. A command that never reads the module never compiles
+    or runs it."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the layers only some commands use; ``grape`` is also the command's name
+grape_module = _lazy("grape")
+noisespec = _lazy("noisespec")
+protocol = _lazy("protocol")
+sensitivity = _lazy("sensitivity")
+synth = _lazy("synth")
 
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
@@ -201,8 +215,8 @@ def _recorded(body):
     """A command callback that runs ``body(run, **params)`` as a recorded run.
 
     The body returns the line to echo; the manifest is written after it,
-    unless the run is a replay. An ``ArithmeticError`` exits 4; a
-    ``ValueError``, ``KeyError``, ``TypeError`` or ``OSError`` exits 3.
+    unless the run is a replay. An ``ArithmeticError`` or a ``MemoryError``
+    exits 4; a ``ValueError``, ``KeyError``, ``TypeError`` or ``OSError`` exits 3.
     Every command reads its JSON input last, so a ``TypeError``, a missing
     key, a ``JSONDecodeError`` or an ``InputError`` names that input first;
     a ``TableError`` names the table read last.
@@ -218,6 +232,8 @@ def _recorded(body):
             click.echo(message)
         except ArithmeticError as exc:
             _fail(EXIT_NUMERICAL, str(exc))
+        except MemoryError as exc:  # numpy's names the array it could not allocate
+            _fail(EXIT_NUMERICAL, str(exc) or "out of memory")
         except (TypeError, KeyError, json.JSONDecodeError, InputError) as exc:
             path = run.last_table if isinstance(exc, TableError) else run.last_input
             where = f"{path}: " if path else ""
@@ -279,7 +295,10 @@ def main(ctx, seed, out, config, threads):
     replay = ctx.obj is not None
     if replay and ctx.invoked_subcommand == "rerun":
         _fail(EXIT_DATA, f"cannot read manifest: {ctx.obj} records a rerun")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(EXIT_DATA, f"cannot create output directory {out}: {exc.strerror}")
     ctx.obj = _Run(ctx.meta["argv"], seed, out, config, threads, replay)
 
 
@@ -329,7 +348,8 @@ def depth(run, dataset_csv, sidecar_json):
 @_recorded
 def noise(run, curves_dir, t1, l_eff):
     """Invert coherence-decay curves into a noise spectrum."""
-    erl_line = erl_noise_line(l_eff)  # refuses a bad --l-eff before any output
+    # refuses a bad --l-eff before any output
+    erl_line = noisespec.erl_noise_line(l_eff)
     points = []
     csvs = sorted(Path(curves_dir).glob("*.csv"))
     if not csvs:
@@ -342,11 +362,11 @@ def noise(run, curves_dir, t1, l_eff):
         if curve.n_pulses == 0:
             raise ValueError(f"{sidecar_path}: a curve with N = 0 has no passband")
         if t1 is not None:
-            curve = deduct_t1(curve, t1)
+            curve = noisespec.deduct_t1(curve, t1)
         for t, c in zip(curve.times, curve.coherence):
             if 0.0 < c < 1.0:
                 points.append((DDSequence(curve.family, curve.n_pulses, t), c))
-    spec, info = reconstruct_spectrum(points, n=PASSES)
+    spec, info = noisespec.reconstruct_spectrum(points, n=noisespec.PASSES)
     fit = info["fit"]
     if not fit.floor > fit.floor_sigma:
         raise NumericalError(
@@ -363,7 +383,7 @@ def noise(run, curves_dir, t1, l_eff):
         "erl_noise_line_t2_per_hz": erl_line,
         "floor_t2_per_hz": fit.floor,
         "floor_sigma_t2_per_hz": fit.floor_sigma,
-        "db_below_erl_line": db_below_erl(fit.floor, l_eff),
+        "db_below_erl_line": noisespec.db_below_erl(fit.floor, l_eff),
         "iterations": info["iterations"],
     }
     run.json("erl_comparison.json", comparison)
@@ -389,8 +409,8 @@ def grape(run, problem_json):
     angle = angle_deg * np.pi / 180.0
     if not np.isfinite(angle):
         raise InputError(f"angle_deg gives an angle that is not finite, got {angle_deg!r}")
-    problem = GrapeProblem(
-        target=rotation_target(angle, spec.get("axis", "x")),
+    problem = grape_module.GrapeProblem(
+        target=grape_module.rotation_target(angle, spec.get("axis", "x")),
         n_pieces=as_int(spec["n_pieces"], "n_pieces"),
         piece_duration=as_float(spec["piece_duration_s"], "piece_duration_s"),
         max_rabi_hz=as_float(spec["max_rabi_hz"], "max_rabi_hz"),
@@ -399,7 +419,9 @@ def grape(run, problem_json):
     if not 0 < target_infidelity < 1:
         raise InputError(f"target_infidelity must be in (0, 1), got {target_infidelity!r}")
     check_keys(spec, _GRAPE_KEYS)
-    result = optimize(problem, seed=run.seed, target_infidelity=target_infidelity)
+    result = grape_module.optimize(
+        problem, seed=run.seed, target_infidelity=target_infidelity
+    )
     run.text("waveform.csv", result.waveform.to_csv())
     run.text(
         "fidelity_trace.csv",
@@ -412,7 +434,7 @@ def grape(run, problem_json):
             "converged": result.converged,
             "best_effort": not result.converged,
             "n_iterations": result.n_iterations,
-            "verified_fidelity": fidelity(problem, result.waveform),
+            "verified_fidelity": grape_module.fidelity(problem, result.waveform),
         },
     )
     return f"fidelity {result.fidelity:.6f} converged={result.converged}"
@@ -451,7 +473,7 @@ def _sense_settings(cfg: dict, config) -> tuple:
         phases = gamma_e * (config.b_v * grid) * t_c
     if not np.all(np.isfinite(phases)):
         raise InputError(f"volts give phases that are not finite, got {volts!r}")
-    parabola_basis(grid)  # the fringe fit's check, before any output
+    sensitivity.parabola_basis(grid)  # the fringe fit's check, before any output
     shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
     if shots_per_point < 1:
         raise InputError(f"shots_per_point must be >= 1, got {shots_per_point}")
@@ -465,10 +487,10 @@ def sense(run):
     """Simulate a magnetometry run: fringe, sensitivity curve, budget."""
     # ``{**...}`` makes a config that is not a JSON object a TypeError
     cfg = {**load_json(run.input(run.config))} if run.config else {}
-    config = nv3_config()
+    config = protocol.nv3_config()
     signal, n_shots, volts, shots_per_point = _sense_settings(cfg, config)
 
-    volts, counts = simulate_fringe(
+    volts, counts = protocol.simulate_fringe(
         config, volts, shots_per_point=shots_per_point, seed=run.seed
     )
     run.plot(
@@ -481,10 +503,14 @@ def sense(run):
     # child forks before the shot record exists and this process never loads
     # scipy, so the record never sits on top of scipy's memory. The shot
     # table is written block by block, and eta(t) summed from the record
-    with _forked("fringe fit", fit_fringe, volts, counts, config.budget.t_c) as fringe_fit:
-        shots = run_experiment(config, signal, n_shots, seed=run.seed, workers=run.threads)
+    with _forked(
+        "fringe fit", sensitivity.fit_fringe, volts, counts, config.budget.t_c
+    ) as fringe_fit:
+        shots = protocol.run_experiment(
+            config, signal, n_shots, seed=run.seed, workers=run.threads
+        )
         run.text("shots.csv", shots.csv_blocks())
-        times, eta, asym = sensitivity_from_timeseries(
+        times, eta, asym = sensitivity.sensitivity_from_timeseries(
             shots.photons, shots.signs, signal, config.shot_duration
         )
         del shots
@@ -515,10 +541,10 @@ def sense(run):
 def erl(run, table_csv):
     """Cross-platform energy-resolution benchmark."""
     if table_csv is None:
-        records = load_reference_magnetometers()
+        records = sensitivity.load_reference_magnetometers()
     else:
-        records = magnetometer_records_from_csv(run.table(table_csv))
-    report = erl_table_check(records)
+        records = sensitivity.magnetometer_records_from_csv(run.table(table_csv))
+    report = sensitivity.erl_table_check(records)
     run.json(
         "erl_report.json",
         {"rows": report, "all_consistent": all(r["consistent"] for r in report)},
@@ -536,6 +562,27 @@ def erl(run, table_csv):
     return f"{len(report)} rows checked, {n_bad} inconsistent"
 
 
+def _option(name: str, value: float, quantity, what: str):
+    """Refuse a numeric option whose value is not finite, or whose
+    ``quantity(value)``, the ``what`` the command derives from it, is not
+    finite and > 0: an ``InputError`` naming the option, before any output."""
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    try:
+        derived = quantity(value)
+    except ArithmeticError:  # a float power or quotient past the float range
+        derived = math.nan
+    if not 0 < derived < math.inf:
+        raise InputError(f"{name} {value!r} gives {what} that is not finite and > 0")
+
+
+def _check_noise(noise: float):
+    """Refuse a ``gen`` --noise, the sigma of the noise added to each point,
+    that is not finite and >= 0."""
+    if not 0 <= noise < math.inf:
+        raise InputError(f"--noise must be finite and >= 0, got {noise!r}")
+
+
 @main.group()
 def gen():
     """Generate synthetic datasets."""
@@ -549,6 +596,7 @@ def gen():
 @_recorded
 def gen_depth(run, depth_nm, pulses, noise, suite):
     """Synthetic proton-NMR dip scans."""
+    _check_noise(noise)
     if suite:
         bundle = synth.make_depth_suite(noise=noise, seed=run.seed + 10)
         items = [
@@ -556,6 +604,10 @@ def gen_depth(run, depth_nm, pulses, noise, suite):
             for data, d, _ in bundle
         ]
     else:
+        _option(
+            "--depth-nm", depth_nm, lambda d: RHO_GLYCERINE / (d * 1e-9) ** 3,
+            "a dip amplitude rho/d^3",
+        )
         check_train("XY16", pulses)  # the train its sidecar records
         data = synth.make_depth_dataset(
             depth_nm * 1e-9, pulses, noise=noise, seed=run.seed
@@ -571,6 +623,8 @@ def gen_depth(run, depth_nm, pulses, noise, suite):
 @_recorded
 def gen_noise(run, noise, db_below):
     """Coherence-decay family from a surface-noise model spectrum."""
+    _check_noise(noise)
+    _option("--db-below", db_below, synth.nv3_floor, "a noise floor")
     spectrum = synth.nv3_floor_spectrum(db_below=db_below)
     curves = synth.make_coherence_family(spectrum, noise=noise, seed=run.seed)
     run.scans((curve, f"coherence_n{curve.n_pulses}") for curve in curves)
@@ -584,6 +638,9 @@ def rerun(manifest_json):
     byte-identical outputs."""
     try:
         recorded = RunManifest.from_json(Path(manifest_json).read_text())
+        # every recorded command writes an output; --help or --version writes none
+        if not recorded.outputs:
+            raise ValueError(f"{manifest_json} records no outputs")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(EXIT_DATA, f"cannot read manifest: {exc}")
     # a replay over changed inputs would overwrite the outputs it checks

@@ -220,10 +220,18 @@ def fit_lorentzian(omega0, s0) -> LorentzianFit:
 
 
 def erl_noise_line(l_eff: float) -> float:
-    """Noise level implied by the energy resolution limit: 2 mu0 hbar / (e l^3)."""
+    """Noise level implied by the energy resolution limit: 2 mu0 hbar / (e l^3).
+    An ``l_eff`` whose line leaves the float range, such as 1e-300 or 1e300,
+    raises ValueError."""
     if not 0 < l_eff < math.inf:  # NaN fails this too
         raise ValueError(f"l_eff must be > 0 and finite, got {l_eff}")
-    return 2.0 * MU_0 * HBAR / (math.e * l_eff**3)
+    try:
+        line = 2.0 * MU_0 * HBAR / (math.e * l_eff**3)
+    except ArithmeticError:  # l^3 past the float range, or 0 after underflow
+        line = math.nan
+    if not 0 < line < math.inf:
+        raise ValueError(f"l_eff {l_eff!r} gives an ERL noise line outside the float range")
+    return line
 
 
 def db_below_erl(s_measured: float, l_eff: float) -> float:

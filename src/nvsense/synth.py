@@ -87,11 +87,15 @@ def lorentzian_spectrum(s_max: float, width: float, floor: float = 0.0):
     return spectrum
 
 
+def nv3_floor(db_below: float = 21.6, l_eff: float = 31.7e-9) -> float:
+    """A flat floor (T^2/Hz) a fixed number of power decibels below the ERL
+    noise line at ``l_eff``."""
+    return erl_noise_line(l_eff) / 10 ** (db_below / 10.0)
+
+
 def nv3_floor_spectrum(db_below: float = 21.6, l_eff: float = 31.7e-9):
-    """Lorentzian surface noise over a flat floor calibrated a fixed number
-    of power decibels below the ERL noise line at ``l_eff``."""
-    floor = erl_noise_line(l_eff) / 10 ** (db_below / 10.0)
-    return lorentzian_spectrum(8e-19, 2 * np.pi * 120e3, floor)
+    """Lorentzian surface noise over the ``nv3_floor`` flat floor."""
+    return lorentzian_spectrum(8e-19, 2 * np.pi * 120e3, nv3_floor(db_below, l_eff))
 
 
 def make_coherence_family(

@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -10,10 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nvsense.manifest import RunManifest
 
 CLI = [sys.executable, "-m", "nvsense"]
+# the modules the CLI binds lazily, each executed by the first command that uses it
+LAZY_LAYERS = ("grape", "noisespec", "protocol", "sensitivity", "synth")
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_PROBLEM = {
     "angle_deg": 90,
@@ -284,6 +290,79 @@ class TestBasics:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "args, executed",
+        [
+            ([], []),
+            (["depth", "SCAN.csv", "SCAN.json"], []),
+            (["grape", "PROBLEM"], ["grape"]),
+        ],
+        ids=["import", "depth", "grape"],
+    )
+    def test_layers_execute_with_their_command(
+        self, args, executed, depth_bundle, tmp_path
+    ):
+        """The CLI binds grape, noisespec, protocol, sensitivity and synth
+        lazily: after ``import nvsense.cli`` and after a ``depth`` run none
+        of them has executed (each is still importlib's lazy module type),
+        and a ``grape`` run executes grape alone."""
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(SMALL_PROBLEM))
+        paths = {
+            "SCAN.csv": depth_bundle / "depth_dataset.csv",
+            "SCAN.json": depth_bundle / "depth_dataset.json",
+            "PROBLEM": problem,
+        }
+        argv = ["--out", str(tmp_path / "out")] + [str(paths.get(a, a)) for a in args]
+        code = (
+            "import sys, types\n"
+            "from nvsense.cli import main\n"
+            f"if {bool(args)}:\n"
+            f"    main({argv!r}, standalone_mode=False)\n"
+            f"layers = {LAZY_LAYERS!r}\n"
+            "print([m for m in layers if type(sys.modules['nvsense.' + m])"
+            " is types.ModuleType])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == repr(executed)
+
+    def test_lazy_layer_is_the_imported_module(self):
+        """A layer imported before the CLI is bound as it is; one the CLI
+        binds first is the module that ``sys.modules``, the package and a
+        later import all give, and it executes on first use."""
+        code = (
+            "import sys, types\n"
+            "import nvsense.protocol as protocol\n"
+            "import nvsense, nvsense.cli as cli\n"
+            "print(cli.protocol is protocol, type(protocol) is types.ModuleType)\n"
+            "lazy = cli.synth\n"
+            "print(lazy is sys.modules['nvsense.synth'] is nvsense.synth)\n"
+            "print(type(lazy) is types.ModuleType)\n"
+            "from nvsense.synth import nv3_floor\n"
+            "print(type(lazy) is types.ModuleType, nv3_floor is lazy.nv3_floor)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines() == ["True True", "True", "False", "True True"]
+
+    @pytest.mark.parametrize("case", ["under-a-file", "name-too-long"])
+    def test_out_that_cannot_be_created_exits_3(self, case, tmp_path):
+        """An --out whose directory cannot be made exits 3 with one line
+        naming it, and writes nothing."""
+        (tmp_path / "afile").write_text("")
+        if case == "under-a-file":
+            out = tmp_path / "afile" / "sub"
+        else:
+            out = tmp_path / ("x" * 300)
+        proc = run_cli("--out", out, "erl", check=False)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: cannot create output directory {out}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 class TestGen:
@@ -638,6 +717,31 @@ class TestErlCommand:
         (line,) = proc.stderr.splitlines()
         assert line.startswith(f"error: cannot read manifest: {key} must map")
 
+    @pytest.mark.parametrize(
+        "command", [["--version"], ["--help"], ["erl", "--help"]],
+        ids=["version", "help", "command-help"],
+    )
+    def test_rerun_refuses_a_manifest_without_outputs(self, command, tmp_path):
+        """Every recorded command writes an output, so a manifest that
+        records none exits 3 and nothing is replayed."""
+        path = tmp_path / "manifest.json"
+        manifest = {"command": command, "seed": 0, "version": "0.1.0", "outputs": {}}
+        path.write_text(json.dumps(manifest))
+        proc = run_cli("rerun", path, check=False)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.splitlines() == [
+            f"error: cannot read manifest: {path} records no outputs"
+        ]
+
+    def test_rerun_refuses_a_recorded_rerun(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        outputs = {str(tmp_path / "out.json"): "0" * 64}
+        manifest = {"command": ["rerun", str(path)], "seed": 0, "version": "0.1.0"}
+        path.write_text(json.dumps({**manifest, "outputs": outputs}))
+        proc = run_cli("rerun", path, check=False)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"error: cannot read manifest: {path} records a rerun"]
+
     def test_rerun_detects_tampering(self, tmp_path):
         run_cli("--out", tmp_path, "erl")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -693,6 +797,118 @@ BAD_SENSE_CONFIGS = {
 }
 
 
+# a JSON value of any type, kept small; floats include the infinities that
+# a JSON number past the float range (such as 1e400) parses to
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+# numbers, with magnitudes at the edges of the float range drawn often
+NUMBERS = (
+    st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from([5e-324, 1e-100, 1e100, 1e300, sys.float_info.max]).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    )
+)
+# the exceptions that ``_recorded`` and ``rerun`` turn into one error line
+ONE_LINE_ERRORS = (ArithmeticError, MemoryError, ValueError, KeyError, TypeError, OSError)
+
+
+@contextlib.contextmanager
+def address_space_capped(headroom_bytes):
+    """Cap this process's address space ``headroom_bytes`` above its current
+    size, so a generated array of 10^9 points fails as MemoryError at once
+    instead of taking the host's memory."""
+    status = Path("/proc/self/status").read_text()
+    size_kb = int(next(line.split()[1] for line in status.splitlines() if line.startswith("VmSize:")))
+    old = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size_kb * 1024 + headroom_bytes, old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, old)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="no /proc/self/status"
+)
+@given(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            # values a run takes are drawn often, so that the later keys'
+            # checks are reached past the earlier ones
+            "signal_t": st.floats(1e-12, 1e-6) | NUMBERS | JSON_VALUES,
+            "n_shots": st.integers(100, 10**6) | NUMBERS | JSON_VALUES,
+            "volts": st.tuples(NUMBERS, NUMBERS, st.integers(8, 64) | NUMBERS).map(list)
+            | JSON_VALUES,
+            "shots_per_point": st.integers(1, 10**4) | NUMBERS | JSON_VALUES,
+            "unknown": JSON_VALUES,
+        },
+    )
+)
+@example({"volts": [0, sys.float_info.max, 8]})
+@example({"volts": [0, 1e-100, 8], "n_shots": 10**400})
+@settings(max_examples=400, deadline=None)
+def test_sense_settings_return_or_raise_one_line_errors(cfg):
+    """Any JSON object over the four ``sense`` keys and an unknown one gives
+    the settings, or an exception the CLI reports as one error line; a
+    numpy warning, which pytest makes an error here, would be a second line."""
+    from nvsense.cli import _sense_settings
+    from nvsense.protocol import nv3_config
+
+    config = nv3_config()
+    _sense_settings({}, config)  # loads what the checks use before the cap
+    try:
+        with address_space_capped(256 * 2**20):
+            settings_ = _sense_settings(cfg, config)
+    except ONE_LINE_ERRORS:
+        return
+    signal, n_shots, grid, shots_per_point = settings_
+    assert signal > 0 and n_shots >= 100 and shots_per_point >= 1
+    assert len(grid) >= 8 and np.all(np.isfinite(grid))
+    assert set(cfg) <= {"signal_t", "n_shots", "volts", "shots_per_point"}
+
+
+MANIFEST_VALUES = (
+    JSON_VALUES
+    | st.text(max_size=8)
+    | st.lists(st.text(max_size=8), max_size=3)
+    | st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3)
+)
+
+
+@given(
+    st.text()
+    | JSON_VALUES.map(json.dumps)
+    | st.fixed_dictionaries(
+        {key: MANIFEST_VALUES for key in ("command", "seed", "version")},
+        optional={
+            key: MANIFEST_VALUES for key in ("config_path", "inputs", "outputs", "other")
+        },
+    ).map(json.dumps)
+)
+@settings(max_examples=400, deadline=None)
+def test_manifest_reader_returns_or_raises_one_line_errors(text):
+    """Any text, any JSON value, and any object over a manifest's keys gives
+    a manifest, or an exception ``rerun`` reports as one error line."""
+    try:
+        manifest = RunManifest.from_json(text)
+    except (ValueError, KeyError, TypeError, OSError):
+        return
+    assert isinstance(manifest.command, list)
+    assert all(isinstance(arg, str) for arg in manifest.command)
+    for files in (manifest.inputs, manifest.outputs):
+        assert all(isinstance(digest, str) for digest in files.values())
+
+
 class TestSenseCommand:
     def test_small_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -733,8 +949,9 @@ class TestSenseCommand:
             "        seen.append([m in sys.modules for m in ('scipy', 'concurrent.futures')])\n"
             "        return result\n"
             "    return wrapped\n"
-            "cli.run_experiment = watch(cli.run_experiment)\n"
-            "cli.sensitivity_from_timeseries = watch(cli.sensitivity_from_timeseries)\n"
+            "cli.protocol.run_experiment = watch(cli.protocol.run_experiment)\n"
+            "cli.sensitivity.sensitivity_from_timeseries = "
+            "watch(cli.sensitivity.sensitivity_from_timeseries)\n"
             f"cli.main({argv!r}, standalone_mode=False)\n"
             "print(seen)\n"
         )
@@ -823,7 +1040,7 @@ class TestSenseCommand:
             "def fail(*args, **kwargs):\n"
             "    raise cli.NumericalError('shot phase failed')\n"
             f"if {case == 'shots-fail'}:\n"
-            "    cli.run_experiment = fail\n"
+            "    cli.protocol.run_experiment = fail\n"
             "try:\n"
             f"    cli.main({argv!r}, standalone_mode=False)\n"
             "    code = 0\n"
@@ -853,7 +1070,7 @@ class TestSenseCommand:
         code = (
             "import os, sys\n"
             "import nvsense.cli as cli\n"
-            "cli.fit_fringe = lambda *args: os._exit(9)\n"
+            "cli.sensitivity.fit_fringe = lambda *args: os._exit(9)\n"
             f"sys.argv = {argv!r}\n"
             "cli.main()\n"
         )
@@ -895,6 +1112,19 @@ class TestSenseCommand:
         assert line.startswith("error: voltage sweep from 0.0 to 1e-100 V ")
         assert not (out / "manifest.json").exists()
         assert list(out.iterdir()) == []
+
+    def test_array_too_large_to_allocate_exits_4_with_one_line(self, tmp_path):
+        """10^18 shots need more memory than any host has, so numpy refuses
+        the shot record at once: exit 4 with one error line, after the
+        fringe outputs and with no manifest."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL_SENSE, "n_shots": 10**18}))
+        out = tmp_path / "out"
+        proc = run_cli("--config", cfg, "--out", out, "sense", check=False)
+        assert proc.returncode == 4
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: Unable to allocate ")
+        assert sorted(p.name for p in out.iterdir()) == ["fringe.axes.json", "fringe.csv"]
 
     def test_zero_shots_per_point_names_its_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1212,6 +1442,65 @@ def test_depth_coherence_outside_range_names_the_csv(coherence, depth_bundle, tm
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [f"error: {table}: coherence outside [-0.05, 1.05]"]
     assert list(out.iterdir()) == []
+
+
+# a numeric option a command refuses before any output: its argv (NOISE for
+# the gen noise bundle) and the message of the one error line
+OPTION_REFUSALS = {
+    "depth-nm-nan": (["gen", "depth", "--depth-nm", "nan"], "--depth-nm must be finite, got nan"),
+    "depth-nm-inf": (["gen", "depth", "--depth-nm", "inf"], "--depth-nm must be finite, got inf"),
+    "depth-nm-tiny": (
+        ["gen", "depth", "--depth-nm", "1e-300"],
+        "--depth-nm 1e-300 gives a dip amplitude rho/d^3 that is not finite and > 0",
+    ),
+    "depth-nm-huge": (
+        ["gen", "depth", "--depth-nm", "1e300"],
+        "--depth-nm 1e+300 gives a dip amplitude rho/d^3 that is not finite and > 0",
+    ),
+    "depth-noise-negative": (
+        ["gen", "depth", "--noise", "-1"], "--noise must be finite and >= 0, got -1.0",
+    ),
+    "noise-noise-negative": (
+        ["gen", "noise", "--noise", "-1"], "--noise must be finite and >= 0, got -1.0",
+    ),
+    "db-below-inf": (["gen", "noise", "--db-below", "inf"], "--db-below must be finite, got inf"),
+    "db-below-huge": (
+        ["gen", "noise", "--db-below", "1e308"],
+        "--db-below 1e+308 gives a noise floor that is not finite and > 0",
+    ),
+    "db-below-huge-negative": (
+        ["gen", "noise", "--db-below", "-1e308"],
+        "--db-below -1e+308 gives a noise floor that is not finite and > 0",
+    ),
+    "l-eff-tiny": (
+        ["noise", "NOISE", "--l-eff", "1e-300"],
+        "l_eff 1e-300 gives an ERL noise line outside the float range",
+    ),
+    "l-eff-huge": (
+        ["noise", "NOISE", "--l-eff", "1e300"],
+        "l_eff 1e+300 gives an ERL noise line outside the float range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OPTION_REFUSALS)
+def test_numeric_option_is_refused_by_name(case, noise_bundle, tmp_path):
+    """A numeric option that is not finite, or whose derived quantity is not
+    finite and > 0, exits 3 with one error line and writes nothing."""
+    args, message = OPTION_REFUSALS[case]
+    args = [noise_bundle if arg == "NOISE" else arg for arg in args]
+    out = tmp_path / "out"
+    proc = run_cli("--out", out, *args, check=False)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert list(out.iterdir()) == []
+
+
+def test_infinite_t1_deducts_nothing(noise_bundle, tmp_path):
+    """``noise --t1 inf`` stays valid: exp(-t/T1) is 1, so the outputs are
+    those of a run without --t1."""
+    run_cli("--out", tmp_path, "noise", noise_bundle, "--t1", "inf")
+    assert digests(tmp_path, NOISE_DIGESTS["noise"]) == NOISE_DIGESTS["noise"]
 
 
 def test_gen_depth_refuses_pulses_its_sidecar_cannot_record(tmp_path):
