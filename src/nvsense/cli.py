@@ -29,6 +29,7 @@ in-process call of ``main`` keeps click's normal return or ``SystemExit``.
 
 import contextlib
 import functools
+import hashlib
 import importlib.util
 import json
 import math
@@ -48,7 +49,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .depth import RHO_GLYCERINE, DepthDataset, fit_depth
+from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
 from .errors import InputError, NumericalError, TableError, as_float, as_int
 from .errors import check_keys, load_json
@@ -159,7 +160,7 @@ class _Run:
     """One recorded run of a command: the global options, the argv they came
     from, and the manifest of every input it reads and every output it
     writes under ``out``. A ``replay`` run is one that ``rerun`` invoked to
-    check a recorded manifest; it writes no manifest of its own."""
+    check a recorded manifest; it records no digest and writes no manifest."""
 
     argv: list
     seed: int
@@ -174,10 +175,12 @@ class _Run:
         self.manifest = RunManifest(self.argv, self.seed, __version__, self.config)
 
     def input(self, path) -> str:
-        """Record ``path`` as an input; return its text."""
-        self.manifest.add_input(path)
+        """Read ``path`` once; record its bytes' SHA-256; return them as text."""
+        data = Path(path).read_bytes()
+        if not self.replay:
+            self.manifest.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         self.last_input = path
-        return Path(path).read_text()
+        return data.decode()
 
     def table(self, path) -> str:
         """``input`` of a CSV table, whose line errors name ``path`` even
@@ -191,7 +194,8 @@ class _Run:
         path = self.out / name
         with open(path, "w") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
-        self.manifest.add_output(path)
+        if not self.replay:
+            self.manifest.add_output(path)
 
     def json(self, name: str, obj):
         self.text(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -295,9 +299,13 @@ def main(ctx, seed, out, config, threads):
     replay = ctx.obj is not None
     if replay and ctx.invoked_subcommand == "rerun":
         _fail(EXIT_DATA, f"cannot read manifest: {ctx.obj} records a rerun")
+    missing = [p for p in out.parents if not os.path.exists(p)]  # innermost first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
+        for parent in missing:  # those this call made, and only while empty
+            with contextlib.suppress(OSError):
+                parent.rmdir()
         _fail(EXIT_DATA, f"cannot create output directory {out}: {exc.strerror}")
     ctx.obj = _Run(ctx.meta["argv"], seed, out, config, threads, replay)
 
@@ -565,12 +573,14 @@ def erl(run, table_csv):
 def _option(name: str, value: float, quantity, what: str):
     """Refuse a numeric option whose value is not finite, or whose
     ``quantity(value)``, the ``what`` the command derives from it, is not
-    finite and > 0: an ``InputError`` naming the option, before any output."""
+    finite and > 0 or raises (an overflow, numpy's too, or a ValueError): an
+    ``InputError`` naming the option, before any output."""
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value!r}")
     try:
-        derived = quantity(value)
-    except ArithmeticError:  # a float power or quotient past the float range
+        with np.errstate(all="raise", under="ignore"):
+            derived = quantity(value)
+    except (ArithmeticError, ValueError):
         derived = math.nan
     if not 0 < derived < math.inf:
         raise InputError(f"{name} {value!r} gives {what} that is not finite and > 0")
@@ -604,11 +614,12 @@ def gen_depth(run, depth_nm, pulses, noise, suite):
             for data, d, _ in bundle
         ]
     else:
-        _option(
-            "--depth-nm", depth_nm, lambda d: RHO_GLYCERINE / (d * 1e-9) ** 3,
-            "a dip amplitude rho/d^3",
-        )
         check_train("XY16", pulses)  # the train its sidecar records
+        _option(
+            "--depth-nm", depth_nm,
+            lambda d: 0.95 - synth.make_depth_dataset(d * 1e-9, pulses).coherence.min(),
+            f"a dip below coherence 0.95 at --pulses {pulses}",
+        )
         data = synth.make_depth_dataset(
             depth_nm * 1e-9, pulses, noise=noise, seed=run.seed
         )

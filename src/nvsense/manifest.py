@@ -28,9 +28,6 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)  # path -> sha256
     outputs: dict = field(default_factory=dict)  # path -> sha256
 
-    def add_input(self, path):
-        self.inputs[str(path)] = sha256_file(path)
-
     def add_output(self, path):
         self.outputs[str(path)] = sha256_file(path)
 

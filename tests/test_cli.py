@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from nvsense.manifest import RunManifest
 
-CLI = [sys.executable, "-m", "nvsense"]
+# a numpy warning in a CLI process is an error: each command refuses such input by name
+CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "nvsense"]
 # the modules the CLI binds lazily, each executed by the first command that uses it
 LAZY_LAYERS = ("grape", "noisespec", "protocol", "sensitivity", "synth")
 ROOT = Path(__file__).resolve().parent.parent
@@ -349,15 +350,19 @@ class TestBasics:
         )
         assert proc.stdout.splitlines() == ["True True", "True", "False", "True True"]
 
-    @pytest.mark.parametrize("case", ["under-a-file", "name-too-long"])
+    @pytest.mark.parametrize(
+        "case", ["under-a-file", "name-too-long", "name-too-long-under-new-parents"]
+    )
     def test_out_that_cannot_be_created_exits_3(self, case, tmp_path):
         """An --out whose directory cannot be made exits 3 with one line
-        naming it, and writes nothing."""
+        naming it, and writes nothing: the parents its mkdir made before
+        the last name failed are removed too."""
         (tmp_path / "afile").write_text("")
-        if case == "under-a-file":
-            out = tmp_path / "afile" / "sub"
-        else:
-            out = tmp_path / ("x" * 300)
+        out = {
+            "under-a-file": tmp_path / "afile" / "sub",
+            "name-too-long": tmp_path / ("x" * 300),
+            "name-too-long-under-new-parents": tmp_path / "deep" / "a" / ("x" * 300),
+        }[case]
         proc = run_cli("--out", out, "erl", check=False)
         assert (proc.returncode, proc.stdout) == (3, "")
         (line,) = proc.stderr.splitlines()
@@ -483,13 +488,15 @@ class TestDepthCommand:
         assert line.startswith("error: ") and "covariance is not finite" in line
 
     def test_shallow_dip_is_numerical_error(self, tmp_path):
-        # a 2,000 nm emitter shows no dip; one point at 0.93 passes the
-        # visible-dip check, and the amplitude scan then starts the polish
-        # beyond the 500 nm bound
-        run_cli(
-            "--out", tmp_path, "gen", "depth", "--depth-nm", 2000, "--pulses", 65536
-        )
-        header, *rows = (tmp_path / "depth_dataset.csv").read_text().splitlines()
+        # a 2,000 nm emitter shows no dip, so `gen depth` refuses it: the scan
+        # is made here, as `gen depth --depth-nm 2000 --pulses 65536` made it.
+        # One point at 0.93 passes the visible-dip check, and the amplitude
+        # scan then starts the polish beyond the 500 nm bound
+        from nvsense.synth import make_depth_dataset
+
+        data = make_depth_dataset(2000 * 1e-9, 65536, noise=0.005, seed=0)
+        (tmp_path / "depth_dataset.json").write_text(data.sidecar() + "\n")
+        header, *rows = data.to_csv().splitlines()
         tau, _, sigma = rows[len(rows) // 2].split(",")
         rows[len(rows) // 2] = f"{tau},0.93,{sigma}"
         scan = tmp_path / "shallow.csv"
@@ -777,6 +784,68 @@ class TestManifest:
         )
         assert manifest.to_json() == MANIFEST_TEXT
         assert RunManifest.from_json(MANIFEST_TEXT) == manifest
+
+    @pytest.mark.parametrize("command", ["depth", "sense"])
+    def test_each_input_is_read_once(self, command, depth_bundle, tmp_path):
+        """An in-process run opens each input once, and the manifest records
+        the SHA-256 of the bytes it read."""
+        if command == "depth":
+            inputs = [depth_bundle / "depth_dataset.csv", depth_bundle / "depth_dataset.json"]
+            args = ["depth", *inputs]
+        else:
+            inputs = [tmp_path / "cfg.json"]
+            inputs[0].write_text(json.dumps(SMALL_SENSE))
+            args = ["--config", inputs[0], "sense"]
+        argv = [str(a) for a in ["--out", tmp_path / "out", *args]]
+        # the audit hook sees every open of a file, by any module
+        code = (
+            "import sys\n"
+            f"opened = dict.fromkeys({[str(p) for p in inputs]!r}, 0)\n"
+            "def hook(event, args):\n"
+            "    if event == 'open' and args[0] in opened:\n"
+            "        opened[args[0]] += 1\n"
+            "sys.addaudithook(hook)\n"
+            "from nvsense.cli import main\n"
+            f"main({argv!r}, standalone_mode=False)\n"
+            "print(opened)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == repr({str(p): 1 for p in inputs})
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs
+        }
+
+    def test_crlf_scan_fits_as_its_lf_original(self, depth_bundle, tmp_path):
+        """Inputs are parsed from their bytes, so a scan and sidecar with
+        CRLF line endings give the outputs of the LF files."""
+        for suffix in (".csv", ".json"):
+            text = (depth_bundle / f"depth_dataset{suffix}").read_bytes()
+            assert b"\r" not in text
+            (tmp_path / f"crlf{suffix}").write_bytes(text.replace(b"\n", b"\r\n"))
+        out = tmp_path / "out"
+        run_cli("--out", out, "depth", tmp_path / "crlf.csv", tmp_path / "crlf.json")
+        assert digests(out, DEPTH_DIGESTS) == DEPTH_DIGESTS
+
+    def test_replay_hashes_each_output_once(self, tmp_path, monkeypatch):
+        """A rerun's replay records no digest, so only the check of the
+        recorded outputs hashes them: each once."""
+        from nvsense import manifest
+        from nvsense.cli import main
+
+        main(["--out", str(tmp_path), "erl"], standalone_mode=False)
+        hashed, sha256_file = [], manifest.sha256_file
+
+        def counted(path):
+            hashed.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(manifest, "sha256_file", counted)
+        main(["rerun", str(tmp_path / "manifest.json")], standalone_mode=False)
+        recorded = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert sorted(hashed) == sorted(recorded)
 
 
 # a `sense` config edit whose value is refused, and the key its error names;
@@ -1451,11 +1520,25 @@ OPTION_REFUSALS = {
     "depth-nm-inf": (["gen", "depth", "--depth-nm", "inf"], "--depth-nm must be finite, got inf"),
     "depth-nm-tiny": (
         ["gen", "depth", "--depth-nm", "1e-300"],
-        "--depth-nm 1e-300 gives a dip amplitude rho/d^3 that is not finite and > 0",
+        "--depth-nm 1e-300 gives a dip below coherence 0.95 at --pulses 4096"
+        " that is not finite and > 0",
     ),
     "depth-nm-huge": (
         ["gen", "depth", "--depth-nm", "1e300"],
-        "--depth-nm 1e+300 gives a dip amplitude rho/d^3 that is not finite and > 0",
+        "--depth-nm 1e+300 gives a dip below coherence 0.95 at --pulses 4096"
+        " that is not finite and > 0",
+    ),
+    # the proton linewidth D/d^2 overflows the model's overlap
+    "depth-nm-overflow": (
+        ["gen", "depth", "--depth-nm", "1e-80"],
+        "--depth-nm 1e-80 gives a dip below coherence 0.95 at --pulses 4096"
+        " that is not finite and > 0",
+    ),
+    # rho/d^3 is finite and > 0, but the scan's coherence never falls below 0.95
+    "depth-nm-no-dip": (
+        ["gen", "depth", "--depth-nm", "1e80", "--pulses", "65536"],
+        "--depth-nm 1e+80 gives a dip below coherence 0.95 at --pulses 65536"
+        " that is not finite and > 0",
     ),
     "depth-noise-negative": (
         ["gen", "depth", "--noise", "-1"], "--noise must be finite and >= 0, got -1.0",
