@@ -180,7 +180,10 @@ class _Run:
         if not self.replay:
             self.manifest.inputs[str(path)] = hashlib.sha256(data).hexdigest()
         self.last_input = path
-        return data.decode()
+        try:
+            return data.decode()
+        except UnicodeDecodeError as exc:  # a ValueError, which names no file
+            raise InputError(exc) from exc
 
     def table(self, path) -> str:
         """``input`` of a CSV table, whose line errors name ``path`` even
@@ -374,7 +377,7 @@ def noise(run, curves_dir, t1, l_eff):
         for t, c in zip(curve.times, curve.coherence):
             if 0.0 < c < 1.0:
                 points.append((DDSequence(curve.family, curve.n_pulses, t), c))
-    spec, info = noisespec.reconstruct_spectrum(points, n=noisespec.PASSES)
+    spec, info = noisespec.reconstruct_spectrum(points)
     fit = info["fit"]
     if not fit.floor > fit.floor_sigma:
         raise NumericalError(
@@ -667,7 +670,3 @@ def rerun(manifest_json):
             "outputs differ from the manifest: " + ", ".join(stale),
         )
     click.echo("outputs reproduced byte-identically")
-
-
-if __name__ == "__main__":
-    main()

@@ -12,17 +12,15 @@ straight to the S0 values:
 
     S0(omega_0) = F + A (1 - tanh(x) / x),   x = pi W / (2 omega_0)
 
-Starting from S_0 = pi^2/8 * S0, ``n`` passes (all ``n`` run, with no early
-stop) of
+Each band then takes its harmonics out,
 
-    S_n(omega_0) = pi^2/8 * S0(omega_0) - sum_{m>=3 odd} S_{n-1}(m omega_0) / m^2
+    S(omega_0) = pi^2/8 * S0(omega_0) - sum_{m>=3 odd} S(m omega_0) / m^2,
 
-take the harmonics out: those on the measured grid from the previous pass,
-those past it from the fitted model, in closed form. One pass is not enough:
-where a band's harmonics sit on a flat stretch of the spectrum, it subtracts
-them at pi^2/8 times their value and reads (pi^2/8 - 1)^2 ~ 5.4% low. A band
-reads only bands above it, so each pass fixes one more link of the longest
-chain of bands that each read the next, and the passes then stop changing.
+those on the measured grid from the bands already solved, those past it from
+the fitted model, in closed form. A band reads only the spectrum above it, so
+one sweep from the top band down solves the system exactly (Alvarez & Suter,
+PRL 107, 230501, 2011). A band with no band in (omega_0, 3 omega_0] reads its
+own value through the log-log interpolation; it repeats until that settles.
 """
 
 import json
@@ -36,10 +34,6 @@ from .errors import NumericalError, least_squares
 
 # at most this many harmonics per band come from the grid; the model gives the rest
 GRID_HARMONICS = 2000  # bounds the memory of a grid that spans many decades
-# the fewest passes after which a further pass changes no band by 1e-15 (in
-# fact by no bit) on the `gen noise` curves, noiseless and at --noise 0.005 with
-# seeds 0-19: their bands span 40 kHz to 2 MHz, a chain of four links
-PASSES = 4
 
 
 @dataclass
@@ -80,10 +74,10 @@ def spectrum_zeroth(coherence: float, seq) -> tuple[float, float]:
     return float(seq.omega0), float(s0)
 
 
-def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = PASSES):
-    """Refine the zeroth-order values ``s0`` at passband centers ``omega0``
-    with ``n`` passes of the odd-harmonic deconvolution -> (NoiseSpectrum,
-    info); info holds the passes run and the bands' ``fit_lorentzian``."""
+def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = 1):
+    """Take the odd harmonics out of the zeroth-order values ``s0`` at
+    passband centers ``omega0`` in ``n`` top-down sweeps -> (NoiseSpectrum,
+    info); info holds the sweeps run and the bands' ``fit_lorentzian``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     order = np.argsort(omega0)
@@ -98,23 +92,27 @@ def spectrum_iterate(omega0: np.ndarray, s0: np.ndarray, n: int = PASSES):
 
     # each band's odd harmonics m >= 3 on the grid (GRID_HARMONICS at most)
     counts = np.minimum((omega0[-1] / omega0 - 1) // 2, GRID_HARMONICS).astype(int)
-    band = np.repeat(np.arange(len(omega0)), counts)
-    m = 2 * (np.arange(len(band)) - np.repeat(np.cumsum(counts) - counts, counts)) + 3
 
-    def on_grid(spectrum):
-        return np.bincount(band, spectrum(m * omega0[band]) / m**2, minlength=len(omega0))
+    def on_grid(i, spectrum):  # summed in order, one term after another
+        m = 2 * np.arange(counts[i]) + 3
+        return np.bincount(np.zeros_like(m), spectrum(m * omega0[i]) / m**2, minlength=1)[0]
 
     # the model's comb total less its terms on the grid
     naive, comb = np.pi**2 / 8 * s0, np.pi**2 / 8 * _zeroth(omega0, fit.s_max, fit.width, fit.floor)
-    tail = comb - fit.spectrum(omega0) - on_grid(fit.spectrum)
-    current = NoiseSpectrum(omega0, naive)
+    tail = [comb[i] - fit.spectrum(omega0[i]) - on_grid(i, fit.spectrum) for i in range(len(omega0))]
+    current = NoiseSpectrum(omega0, naive.copy())
     for _ in range(n):
-        corr = on_grid(current.evaluate) + tail
-        current = NoiseSpectrum(omega0, np.clip(naive - corr, 0.0, None))
+        for i in reversed(range(len(omega0))):
+            step = math.inf  # a band that reads itself repeats until its step stops shrinking
+            while True:
+                new = max(naive[i] - (on_grid(i, current.evaluate) + tail[i]), 0.0)
+                if not 0 < abs(new - current.s[i]) < step:
+                    break
+                step, current.s[i] = abs(new - current.s[i]), new
     return current, {"iterations": n, "fit": fit}
 
 
-def reconstruct_spectrum(points, n: int = PASSES):
+def reconstruct_spectrum(points, n: int = 1):
     """Full inversion: (DDSequence, coherence) pairs -> ``spectrum_iterate``."""
     pairs = [spectrum_zeroth(c, seq) for seq, c in points]
     if not pairs:

@@ -9,6 +9,9 @@ comb, and these slower, more direct forms check them.
   pi-pulse train, the reference for the delta comb and the depth overlap.
 - ``exact_coherence``: the coherence from quadrature of the spectrum against
   ``exact_filter``, the reference for ``coherence_from_spectrum``.
+- ``jacobi_spectrum``: the odd-harmonic deconvolution as ``n`` Jacobi
+  passes, each band's harmonics taken from the previous pass, the reference
+  for ``spectrum_iterate``'s top-down sweep.
 - ``charge_init_batch`` and ``readout_photons``: the feedback loop and the
   flip chain stepped round by round over the whole batch, the reference in
   distribution for the protocol's kernels, which draw the loop's outcome in
@@ -37,6 +40,7 @@ from scipy.special import pdtr, pdtrc
 from scipy.stats import poisson
 
 from nvsense.constants import GAMMA_E
+from nvsense.noisespec import GRID_HARMONICS, NoiseSpectrum, _zeroth, fit_lorentzian
 
 
 def propagate(h_pieces, piece_duration, initial=None):
@@ -119,6 +123,33 @@ def exact_coherence(spectrum, seq, gamma=GAMMA_E, k_max=200):
         total += val
     dphi2 = gamma**2 / np.pi * total
     return float(np.exp(-dphi2 / 2.0))
+
+
+def jacobi_spectrum(omega0, s0, n):
+    """``n`` passes of S_n(omega_0) = pi^2/8 S0(omega_0) - sum_{m>=3 odd}
+    S_{n-1}(m omega_0) / m^2 from S_0 = pi^2/8 S0, all bands at once: the
+    harmonics on the grid from the previous pass, those past it from the
+    fitted model, as ``spectrum_iterate`` forms them -> NoiseSpectrum."""
+    order = np.argsort(omega0)
+    omega0, s0 = np.asarray(omega0, dtype=float)[order], np.asarray(s0, dtype=float)[order]
+    first = np.r_[True, omega0[1:] > omega0[:-1] * (1 + 1e-9)]
+    group = np.cumsum(first) - 1
+    omega0, s0 = omega0[first], np.bincount(group, s0) / np.bincount(group)
+    fit = fit_lorentzian(omega0, s0)
+    counts = np.minimum((omega0[-1] / omega0 - 1) // 2, GRID_HARMONICS).astype(int)
+    band = np.repeat(np.arange(len(omega0)), counts)
+    m = 2 * (np.arange(len(band)) - np.repeat(np.cumsum(counts) - counts, counts)) + 3
+
+    def on_grid(spectrum):
+        return np.bincount(band, spectrum(m * omega0[band]) / m**2, minlength=len(omega0))
+
+    naive, comb = np.pi**2 / 8 * s0, np.pi**2 / 8 * _zeroth(omega0, fit.s_max, fit.width, fit.floor)
+    tail = comb - fit.spectrum(omega0) - on_grid(fit.spectrum)
+    current = NoiseSpectrum(omega0, naive)
+    for _ in range(n):
+        corr = on_grid(current.evaluate) + tail
+        current = NoiseSpectrum(omega0, np.clip(naive - corr, 0.0, None))
+    return current
 
 
 def charge_init_batch(model, rng, m):

@@ -51,7 +51,7 @@ DEPTH_DIGESTS = {
     "depth_fit_curve.csv": "54888915973ca1f1cbcef6e02ed41a50286b5beb342019164f83f1cb12d394f3",
 }
 # SHA-256 of `--seed 0 gen noise` (noise_bundle) and of `noise` on it (the
-# closed-form surface-noise fit and PASSES refinement passes); a rewrite of
+# closed-form surface-noise fit and the top-down harmonic sweep); a rewrite of
 # the comb or of the inversion must change no output bit
 NOISE_DIGESTS = {
     "gen noise": {
@@ -64,7 +64,7 @@ NOISE_DIGESTS = {
         "spectrum.csv": "8048e1851f7af354b7173617ff52af3cb3edda788b0004d8b9be56a79471d387",
         "spectrum.axes.json": "5d5efc0d7167b7c706b4eef09482786fbcf05afb9af2d568659e752075c1c21e",
         "lorentzian.json": "a298c72a039cef725cc55a24b4419bbf979bfa2485330c5ee206818d437a4938",
-        "erl_comparison.json": "709e92a2f24cfc71b338c674cf3a0bdd1df5e8c4f08708aea8070567548dde82",
+        "erl_comparison.json": "dcd9f3a8ac929e2482c8c9f94b0e14c822eaa2016bffe64fdecb6245445c8261",
     },
 }
 
@@ -439,6 +439,15 @@ class TestDepthCommand:
         )
         assert proc.returncode == 3
 
+    def test_input_that_is_not_utf8_names_its_file(self, depth_bundle, tmp_path):
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_bytes((depth_bundle / "depth_dataset.csv").read_bytes() + b"\xff")
+        proc = run_cli("--out", out, "depth", bad, depth_bundle / "depth_dataset.json", check=False)
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert list(out.iterdir()) == []
+
     def test_flat_data_is_numerical_error(self, depth_bundle, tmp_path):
         src = (depth_bundle / "depth_dataset.csv").read_text().splitlines()
         flat = [src[0]]
@@ -643,6 +652,15 @@ class TestNoiseCommand:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: l_eff must be > 0 and finite")
         assert list(out.iterdir()) == []  # refused before any output
+
+    def test_missing_sidecar_is_data_error(self, noise_bundle, tmp_path):
+        curves, out = tmp_path / "curves", tmp_path / "out"
+        shutil.copytree(noise_bundle, curves)
+        (curves / "coherence_n64.json").unlink()
+        proc = run_cli("--out", out, "noise", curves, check=False)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["error: missing sidecar for coherence_n64.csv"]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("others", [True, False], ids=["mixed", "ramsey-only"])
     def test_curve_without_passband_is_data_error(self, others, noise_bundle, tmp_path):

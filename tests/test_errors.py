@@ -20,23 +20,32 @@ def test_least_squares_recovers_parameters():
     assert np.all(np.isfinite(pcov))
 
 
+def flat(x, a, k):  # k does not change the output, so the fit cannot fix it
+    return np.full_like(x, a)
+
+
+BOX = ([0, 0], [10, 10])
+
+
 @pytest.mark.parametrize(
-    "x, p0, maxfev, message, cause",
+    "model, x, p0, bounds, maxfev, message, cause",
     [
-        (X, (1.0, 1.0), 1, "did not converge", RuntimeError),
-        (X, (20.0, 1.0), 20000, "did not converge", ValueError),
+        (decay, X, (1.0, 1.0), BOX, 1, "did not converge", RuntimeError),
+        (decay, X, (20.0, 1.0), BOX, 20000, "did not converge", ValueError),
         # one point cannot fix two parameters
-        (X[:1], (1.0, 1.0), 20000, "covariance is not finite with 1 point", None),
+        (decay, X[:1], (1.0, 1.0), BOX, 20000, "covariance is not finite with 1 point", None),
+        # an unbounded fit's covariance of a parameter the model ignores,
+        # found after the fit
+        (flat, X, (1.0, 1.0), (-np.inf, np.inf), 20000, r"not finite with 9 point\(s\)$", None),
     ],
-    ids=["no-convergence", "start-outside-bounds", "singular-covariance"],
+    ids=["no-convergence", "start-outside-bounds", "singular-covariance", "unfixed-parameter"],
 )
-def test_least_squares_refusals_raise_without_warning(x, p0, maxfev, message, cause):
+def test_least_squares_refusals_raise_without_warning(model, x, p0, bounds, maxfev, message, cause):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericalError, match=message) as refused:
             least_squares(
-                decay, x, Y[: len(x)], p0, ([0, 0], [10, 10]), "decay fit",
-                maxfev=maxfev,
+                model, x, Y[: len(x)], p0, bounds, f"{model.__name__} fit", maxfev=maxfev
             )
     assert type(refused.value.__cause__) is (cause or type(None))
     assert caught == []

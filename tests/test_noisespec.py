@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import jacobi_spectrum
 
 from nvsense.constants import GAMMA_E, TWO_PI
 from nvsense.errors import NumericalError
 from nvsense.noisespec import (
     GRID_HARMONICS,
-    PASSES,
     NoiseSpectrum,
     _zeroth,
     db_below_erl,
@@ -67,7 +67,7 @@ class TestSpectrumIterate:
         return np.array(w0), np.array(s0)
 
     def test_flat_fixed_point(self):
-        # a flat truth is the fixed point: passes from pi^2/8 * S0 settle on it
+        # a flat truth is the fixed point: sweeps from pi^2/8 * S0 settle on it
         s_flat = 2e-19
         seqs = [DDSequence("XY16", 16, 16 / (2 * f)) for f in
                 np.linspace(20e3, 500e3, 12)]
@@ -86,15 +86,17 @@ class TestSpectrumIterate:
         np.testing.assert_allclose(spec.s, truth(spec.omega), rtol=0.05)
 
     def test_contraction_on_lorentzian(self):
+        # Jacobi passes contract onto the sweep's values, which a second
+        # sweep leaves as they are
         truth = lorentzian(1e-18, TWO_PI * 100e3)
         freqs = np.geomspace(30e3, 1.5e6, 12)
         seqs = [DDSequence("XY16", 64, 64 / (2 * f)) for f in freqs]
         w0, s0 = self._forward_points(truth, seqs)
         s1, _ = spectrum_iterate(w0, s0, n=1)
         s2, _ = spectrum_iterate(w0, s0, n=2)
-        d1 = np.max(np.abs(s1.s - np.pi**2 / 8 * s0))
-        d2 = np.max(np.abs(s2.s - s1.s))
-        assert d2 <= d1
+        np.testing.assert_array_equal(s2.s, s1.s)
+        gaps = [np.max(np.abs(jacobi_spectrum(w0, s0, k).s / s1.s - 1)) for k in (1, 2, 3)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0
 
     def test_wide_grid_takes_far_harmonics_from_the_model(self):
         # six decades of bands: the low bands have ~1e6 harmonics on the grid,
@@ -107,17 +109,37 @@ class TestSpectrumIterate:
 
     def test_flat_stretch_needs_more_than_one_pass(self):
         # below the 120 kHz corner a band's harmonics sit on a flat stretch:
-        # one pass subtracts them at pi^2/8 times their value and reads
-        # (pi^2/8 - 1)^2 ~ 5.4% low; the default passes leave the log-log
+        # one Jacobi pass subtracts them at pi^2/8 times their value and
+        # reads (pi^2/8 - 1)^2 ~ 5.4% low; the sweep leaves the log-log
         # interpolation's error alone
         w0 = np.geomspace(TWO_PI * 10, TWO_PI * 10e6, 25)
         truth = lorentzian(8e-19, TWO_PI * 120e3)(w0) + 2e-20
         s0 = closed_form_s0(w0, 8e-19, TWO_PI * 120e3, 2e-20)
-        one, _ = spectrum_iterate(w0, s0, n=1)
+        one = jacobi_spectrum(w0, s0, 1)
         assert np.min(one.s / truth - 1) == pytest.approx(-((np.pi**2 / 8 - 1) ** 2), rel=0.01)
         spec, info = spectrum_iterate(w0, s0)
-        assert info["iterations"] == PASSES
+        assert info["iterations"] == 1
         np.testing.assert_allclose(spec.s, truth, rtol=2e-3)
+
+    @pytest.mark.parametrize(
+        "w0",
+        [
+            np.geomspace(TWO_PI * 10, TWO_PI * 10e6, 25),
+            np.geomspace(TWO_PI * 10e3, TWO_PI * 10e6, 40),
+            TWO_PI * 1e3 * 4.0 ** np.arange(8),
+        ],
+        ids=["six-decades", "forty-bands", "ratio-4"],
+    )
+    def test_sweep_is_the_fixed_point_of_jacobi_passes(self, w0):
+        # one sweep gives what 40 Jacobi passes converge to; on the ratio-4
+        # grid no band has a band in (omega_0, 3 omega_0], so below the top
+        # band each reads its own value and repeats until it settles
+        s0 = closed_form_s0(w0, 8e-19, TWO_PI * 120e3, 2e-20)
+        spec, info = spectrum_iterate(w0, s0)
+        assert info["iterations"] == 1
+        assert np.max(np.abs(spec.s / jacobi_spectrum(w0, s0, 40).s - 1)) <= 1e-15
+        # four passes, which once sufficed on the `gen noise` grid, fall short
+        assert np.max(np.abs(spec.s / jacobi_spectrum(w0, s0, 4).s - 1)) > 1e-6
 
     def test_narrow_grid_flagged(self):
         # two bands cannot resolve a Lorentzian: the fit is the floor alone
@@ -159,7 +181,7 @@ class TestRoundTrip:
     def test_surface_noise_family_floor_and_width(self):
         # the noiseless family of `gen noise`: the fitted floor sits within
         # 0.1 dB of its 21.6 dB below the ERL line, the width within 1%, and
-        # after the default passes every band within 0.05% of the model
+        # after the sweep every band within 0.05% of the model
         truth = nv3_floor_spectrum(db_below=21.6, l_eff=31.7e-9)
         points = [
             (DDSequence(curve.family, curve.n_pulses, t), c)
@@ -176,8 +198,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("noise, seeds", [(0.0, [0]), (0.005, range(20))])
     def test_passes_reach_their_fixed_point_on_gen_noise_families(self, noise, seeds):
-        # PASSES is the fewest passes after which a further one moves no band
-        # by 1e-15, on the families `gen noise` writes with the CLI's filter
+        # 40 Jacobi passes reach the sweep's values to 1e-15 on the families
+        # `gen noise` writes, with the CLI's filter
         truth = nv3_floor_spectrum(db_below=21.6, l_eff=31.7e-9)
         for seed in seeds:
             points = [
@@ -186,11 +208,10 @@ class TestRoundTrip:
                 for t, c in zip(curve.times, curve.coherence)
                 if 0.0 < c < 1.0
             ]
-            fewer, s, more = (
-                reconstruct_spectrum(points, n=n)[0].s for n in (PASSES - 1, PASSES, PASSES + 1)
-            )
-            assert np.max(np.abs(more / s - 1)) <= 1e-15
-            assert np.max(np.abs(s / fewer - 1)) > 1e-15
+            spec, info = reconstruct_spectrum(points)
+            assert info["iterations"] == 1
+            w0, s0 = np.array([spectrum_zeroth(c, seq) for seq, c in points]).T
+            assert np.max(np.abs(spec.s / jacobi_spectrum(w0, s0, 40).s - 1)) <= 1e-15
 
 
 class TestDeductT1:
