@@ -6,18 +6,11 @@ run writes a manifest of its inputs and outputs, unless ``rerun`` is
 replaying a recorded one. Plot outputs are plain CSV plus a JSON axis
 description. Exit codes: 0 success, 1 a stdout pipe that its reader has
 already closed (click catches the EPIPE of its flush and prints nothing),
-2 usage (such as a --seed outside [0, 2**63 - 1]), 3 bad input data
-(``ValueError``, an unreadable file, a JSON input that does not parse,
-lacks a key, is not an object, holds a value of the wrong type
-(``TypeError``, or ``errors.InputError`` for a number) or holds NaN or
-an infinity (``errors.InputError``), a config or problem key the command
-does not read or a sidecar pulse train ``DDSequence`` refuses
-(``errors.InputError``), a CSV line its table does not allow or a table
-value its records refuse (``errors.TableError``), a numeric option that
-is not finite or whose derived quantity is not finite and > 0, an ``--out``
-that cannot be created, a manifest whose command is not a list of strings
-or is itself a ``rerun`` or that records no outputs, or a recorded input
-that is missing or changed), 4 numerical failure (``errors.NumericalError``
+2 usage (such as a --seed outside [0, 2**63 - 1]), 3 bad input data (a
+``ValueError``: a JSON input that ``errors.read_object`` or the library
+refuses, a CSV line or value that its table refuses, an unreadable file, a
+numeric option or ``--out`` that the command cannot use, or a manifest
+that ``rerun`` cannot replay), 4 numerical failure (``errors.NumericalError``
 or any other ``ArithmeticError``, or an array too large to allocate, a
 ``MemoryError``).
 
@@ -51,8 +44,8 @@ import numpy as np
 from . import __version__
 from .depth import DepthDataset, fit_depth
 from .depth import ProtonBathModel, proton_signal_coherence
-from .errors import InputError, NumericalError, TableError, as_float, as_int
-from .errors import check_keys, load_json
+from .errors import POSITIVE, REQUIRED, InputError, NumericalError, TableError
+from .errors import as_float, as_int, load_json, read_object
 from .manifest import RunManifest
 from .sequences import CoherenceCurve, DDSequence, check_train
 from .tables import table_blocks
@@ -404,10 +397,18 @@ def noise(run, curves_dir, t1, l_eff):
     )
 
 
-_GRAPE_KEYS = (
-    "angle_deg", "axis", "n_pieces", "piece_duration_s", "max_rabi_hz",
-    "target_infidelity",
-)
+# a grape problem's keys, as errors.read_object reads them
+_GRAPE = {
+    "angle_deg": (
+        as_float, REQUIRED,
+        (lambda a: np.isfinite(a * np.pi / 180.0), "gives an angle that is not finite"),
+    ),
+    "axis": (None, "x"),
+    "n_pieces": (as_int, REQUIRED),
+    "piece_duration_s": (as_float, REQUIRED),
+    "max_rabi_hz": (as_float, REQUIRED),
+    "target_infidelity": (as_float, 1e-5, (lambda f: 0 < f < 1, "must be in (0, 1)")),
+}
 
 
 @main.command()
@@ -415,21 +416,15 @@ _GRAPE_KEYS = (
 @_recorded
 def grape(run, problem_json):
     """Optimize a shaped control pulse for a rotation target."""
-    spec = load_json(run.input(problem_json))
-    angle_deg = as_float(spec["angle_deg"], "angle_deg")
-    angle = angle_deg * np.pi / 180.0
-    if not np.isfinite(angle):
-        raise InputError(f"angle_deg gives an angle that is not finite, got {angle_deg!r}")
-    problem = grape_module.GrapeProblem(
-        target=grape_module.rotation_target(angle, spec.get("axis", "x")),
-        n_pieces=as_int(spec["n_pieces"], "n_pieces"),
-        piece_duration=as_float(spec["piece_duration_s"], "piece_duration_s"),
-        max_rabi_hz=as_float(spec["max_rabi_hz"], "max_rabi_hz"),
-    )
-    target_infidelity = as_float(spec.get("target_infidelity", 1e-5), "target_infidelity")
-    if not 0 < target_infidelity < 1:
-        raise InputError(f"target_infidelity must be in (0, 1), got {target_infidelity!r}")
-    check_keys(spec, _GRAPE_KEYS)
+    spec = read_object(load_json(run.input(problem_json)), _GRAPE)
+    angle_deg, axis, n_pieces, piece_duration, max_rabi_hz, target_infidelity = spec
+    try:  # the problem's own rules, whose messages name no file
+        problem = grape_module.GrapeProblem(
+            grape_module.rotation_target(angle_deg * np.pi / 180.0, axis),
+            n_pieces, piece_duration, max_rabi_hz,
+        )
+    except ValueError as exc:
+        raise InputError(exc) from exc
     result = grape_module.optimize(
         problem, seed=run.seed, target_infidelity=target_infidelity
     )
@@ -451,44 +446,50 @@ def grape(run, problem_json):
     return f"fidelity {result.fidelity:.6f} converged={result.converged}"
 
 
-def _sense_settings(cfg: dict, config) -> tuple:
-    """(signal_t, n_shots, fringe volts, shots_per_point) of a ``sense``
-    config, defaults filled in. Every key is checked here, before anything
-    is simulated or written; a bad value or a key that is none of these four
-    raises ``InputError`` naming the key, which the CLI prefixes with the
-    config's path. A field whose phase gamma_e B t_c under the protocol
-    ``config`` is not finite is refused: its sine, and every count drawn
-    from it, would be NaN. A sweep the fringe fit could not check against a
-    parabola raises ``parabola_basis``'s ValueError, which names the sweep."""
+def _sweep(volts, key: str):
+    """The grid of a fringe sweep [lo, hi, count] with lo != hi and 8 <= count
+    < 2**59: ``fit_fringe`` takes 8 points or more, and numpy cannot count
+    the bytes of a float grid near 2**60 points (it is out of memory first)."""
+    if not (isinstance(volts, list) and len(volts) == 3):
+        raise InputError(f"volts must be [lo, hi, count], got {volts!r}")
+    lo, hi = (as_float(v, key) for v in volts[:2])
+    count = as_int(volts[2], "volts count")
+    if lo == hi or not 8 <= count < 2**59:
+        raise InputError(
+            f"volts must be [lo, hi, count] with lo != hi and 8 <= count < 2**59, got {volts!r}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(lo, hi, count)
+
+
+# a sense config's keys; n_shots >= 100 fills eta(t)'s shortest window
+_SENSE = {
+    "signal_t": (as_float, 1e-9, POSITIVE),
+    "n_shots": (as_int, 120000, (lambda n: n >= 100, "must be >= 100")),
+    "volts": (_sweep, [0.0, 0.4, 25]),
+    "shots_per_point": (as_int, 4000, (lambda n: n >= 1, "must be >= 1")),
+}
+
+
+def _sense_settings(cfg, config) -> tuple:
+    """(signal_t, n_shots, fringe volts, shots_per_point) of the ``sense``
+    config ``cfg``, read by ``_SENSE`` before anything is simulated. Also
+    refused: a field whose phase gamma_e B t_c under the protocol ``config``
+    is not finite, as its sine and so its counts would be NaN, and a sweep
+    that the fringe fit's ``parabola_basis`` cannot check."""
+    signal, n_shots, grid, shots_per_point = read_object(cfg, _SENSE)
     gamma_e, t_c = config.budget.gamma_e, config.budget.t_c
-    signal = as_float(cfg.get("signal_t", 1e-9), "signal_t")
-    if signal <= 0:
-        raise InputError(f"signal_t must be > 0, got {signal!r}")
     # each phase is formed as the protocol forms it, so the test is exact
     if not np.isfinite(gamma_e * signal * t_c):
         raise InputError(f"signal_t gives a phase that is not finite, got {signal!r}")
-    n_shots = as_int(cfg.get("n_shots", 120000), "n_shots")
-    if n_shots < 100:  # the shortest averaging window of eta(t)
-        raise InputError(f"n_shots must be >= 100, got {n_shots}")
-    volts = cfg.get("volts", [0.0, 0.4, 25])
-    if not (isinstance(volts, list) and len(volts) == 3):
-        raise InputError(f"volts must be [lo, hi, count], got {volts!r}")
-    lo, hi = (as_float(v, "volts") for v in volts[:2])
-    count = as_int(volts[2], "volts count")
-    if lo == hi or count < 8:  # the least sweep fit_fringe takes
-        raise InputError(
-            f"volts must be [lo, hi, count] with lo != hi and count >= 8, got {volts!r}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.linspace(lo, hi, count)
         phases = gamma_e * (config.b_v * grid) * t_c
     if not np.all(np.isfinite(phases)):
-        raise InputError(f"volts give phases that are not finite, got {volts!r}")
-    sensitivity.parabola_basis(grid)  # the fringe fit's check, before any output
-    shots_per_point = as_int(cfg.get("shots_per_point", 4000), "shots_per_point")
-    if shots_per_point < 1:
-        raise InputError(f"shots_per_point must be >= 1, got {shots_per_point}")
-    check_keys(cfg, ("signal_t", "n_shots", "volts", "shots_per_point"))
+        raise InputError(f"volts give phases that are not finite, got {cfg['volts']!r}")
+    try:
+        sensitivity.parabola_basis(grid)
+    except ValueError as exc:  # names the sweep, not the config
+        raise InputError(exc) from exc
     return signal, n_shots, grid, shots_per_point
 
 
@@ -496,8 +497,7 @@ def _sense_settings(cfg: dict, config) -> tuple:
 @_recorded
 def sense(run):
     """Simulate a magnetometry run: fringe, sensitivity curve, budget."""
-    # ``{**...}`` makes a config that is not a JSON object a TypeError
-    cfg = {**load_json(run.input(run.config))} if run.config else {}
+    cfg = load_json(run.input(run.config)) if run.config else {}
     config = protocol.nv3_config()
     signal, n_shots, volts, shots_per_point = _sense_settings(cfg, config)
 

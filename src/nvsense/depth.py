@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, GAMMA_H, HBAR, MU_0
-from .errors import InputError, NumericalError, as_float, as_int, least_squares
-from .sequences import check_train
+from .errors import POSITIVE, REQUIRED, NumericalError, as_float, as_int, least_squares
 from .tables import Scan
 
 # proton number densities (m^-3)
@@ -116,10 +115,8 @@ def proton_signal_coherence(
 class DepthDataset(Scan):
     """One proton-NMR depth measurement, dip versus pulse spacing: a
     ``tables.Scan`` whose sidecar holds the pulse train (``sequence`` and
-    ``N``, a pair ``sequences.check_train`` takes), the field, the ``sample``
-    name and its proton density. A sidecar's ``b0_tesla`` or ``rho_per_nm3``
-    that is not > 0, or whose proton Larmor frequency or density is past the
-    float range, is refused."""
+    ``N``), the field, the ``sample`` name and its proton density. The fit
+    needs a proton density and Larmor frequency that are finite and > 0."""
 
     taus: np.ndarray
     coherence: np.ndarray
@@ -132,6 +129,23 @@ class DepthDataset(Scan):
 
     HEADER = "tau_s,coherence,sigma"
     GRID = "tau grid"
+    # the fields after the columns, in order; rho is read in m^-3
+    SIDECAR = {
+        "N": (as_int, REQUIRED),
+        "b0_tesla": (
+            as_float, REQUIRED, POSITIVE,
+            (
+                lambda b0: np.isfinite(GAMMA_H * b0),
+                "gives a proton Larmor frequency that is not finite",
+            ),
+        ),
+        "sample": (None, "glycerine", (lambda s: isinstance(s, str), "must be a string")),
+        "rho_per_nm3": (
+            lambda value, key: as_float(value, key) * 1e27, REQUIRED, POSITIVE,
+            (np.isfinite, "gives a proton density that is not finite"),
+        ),
+        "sequence": (None, "XY16"),
+    }
 
     def _meta(self) -> dict:
         return {
@@ -141,29 +155,6 @@ class DepthDataset(Scan):
             "sample": self.sample,
             "rho_per_nm3": self.rho / 1e27,
         }
-
-    @staticmethod
-    def _fields(meta) -> dict:
-        fields = dict(
-            n_pulses=as_int(meta["N"], "N"),
-            b0=as_float(meta["b0_tesla"], "b0_tesla"),
-            sample=meta.get("sample", "glycerine"),
-            rho=as_float(meta["rho_per_nm3"], "rho_per_nm3") * 1e27,
-            family=meta.get("sequence", "XY16"),
-        )
-        check_train(fields["family"], fields["n_pulses"])
-        if not isinstance(fields["sample"], str):
-            raise ValueError(f"sample must be a string, got {fields['sample']!r}")
-        # the fit needs a finite proton density and Larmor frequency, both > 0
-        for key, value, derived, what in (
-            ("rho_per_nm3", meta["rho_per_nm3"], fields["rho"], "a proton density"),
-            ("b0_tesla", fields["b0"], GAMMA_H * fields["b0"], "a proton Larmor frequency"),
-        ):
-            if not value > 0:
-                raise InputError(f"{key} must be > 0, got {value!r}")
-            if not np.isfinite(derived):
-                raise InputError(f"{key} {value!r} gives {what} that is not finite")
-        return fields
 
 
 @dataclass

@@ -6,8 +6,9 @@ shot noise.
 Randomness uses counter-based Philox streams keyed per fixed-size shot
 batch, so results are bit-identical regardless of how batches are
 distributed over workers. ``run_experiment``'s calling thread is worker 0;
-``workers=N`` adds N - 1 helper threads, and each worker writes its batches
-straight into the shot record.
+``workers=N`` adds N - 1 helper threads, fewer if there are fewer batches
+than workers, and each worker writes its batches straight into the shot
+record.
 """
 
 import math
@@ -287,10 +288,11 @@ def run_experiment(
     owns an independent counter-based stream, so any ``workers`` count
     produces identical results.
 
-    The calling thread is worker 0. ``workers - 1`` helper threads (none for
-    ``workers=1``) are started before it draws and joined after it, and a
-    worker's exception is raised once every worker has ended.
-    Worker i simulates batches i, i + workers, ... and writes each into the
+    The calling thread is worker 0. With w = min(``workers``, the number of
+    batches), w - 1 helper threads (none for one worker or one batch) are
+    started before it draws and joined after it, and a worker's exception is
+    raised once every worker has ended.
+    Worker i simulates batches i, i + w, ... and writes each into the
     record as soon as it is drawn, so no batch waits in a queue. The batch
     kernels' numpy draws (``poisson``, ``geometric``, ``random``) and array
     operations release the interpreter lock while they run, and the Python
@@ -305,6 +307,7 @@ def run_experiment(
         raise ValueError("n_shots must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, -(-n_shots // BATCH_SIZE))  # a worker per batch at most
     signs = np.ones(n_shots, dtype=np.int8)
     signs[1::2] = -1
     init_cycles = np.empty(n_shots, np.min_scalar_type(config.charge.max_cycles))

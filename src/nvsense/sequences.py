@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E
-from .errors import as_int
+from .errors import REQUIRED, as_int
 from .tables import Scan
 
 _BASE_BLOCK = {"CPMG": 1, "XY8": 8, "XY16": 16, "RAMSEY": 0}
@@ -86,9 +86,8 @@ def coherence_from_spectrum(spectrum, seq: DDSequence, k_max: int = 200) -> floa
 @dataclass
 class CoherenceCurve(Scan):
     """Measured or simulated coherence versus total evolution time: a
-    ``tables.Scan`` whose sidecar holds the pulse train, ``family`` and ``N``,
-    a pair ``check_train`` takes (the defaults when a curve is read without
-    one)."""
+    ``tables.Scan`` whose sidecar holds the pulse train, ``family`` and ``N``
+    (the defaults when a curve is read without one)."""
 
     times: np.ndarray
     coherence: np.ndarray
@@ -98,12 +97,7 @@ class CoherenceCurve(Scan):
 
     HEADER = "time_s,coherence,sigma"
     GRID = "times"
+    SIDECAR = {"family": (None, REQUIRED), "N": (as_int, REQUIRED)}
 
     def _meta(self) -> dict:
         return {"family": self.family, "N": self.n_pulses}
-
-    @staticmethod
-    def _fields(meta) -> dict:
-        family, n_pulses = meta["family"], as_int(meta["N"], "N")
-        check_train(family, n_pulses)
-        return dict(family=family, n_pulses=n_pulses)

@@ -10,8 +10,7 @@ Rows are written in blocks of ``_BLOCK_ROWS``, which ``table_blocks`` yields
 one at a time. A block whose columns are all integers is formatted in bulk
 with numpy, digit by digit, into the same bytes; any other block is
 formatted row by row from Python values. A coherence scan (a depth scan,
-a decoupling decay) is a three-column table plus a JSON sidecar.
-"""
+a decoupling decay) is a three-column table plus a JSON sidecar."""
 
 import dataclasses
 import json
@@ -19,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, TableError, load_json
+from .errors import InputError, TableError, load_json, read_object
 
 _BLOCK_ROWS = 1 << 14
 _INT64 = range(-(2**63), 2**63)
@@ -156,11 +155,10 @@ def read_table(text: str, header: str, text_columns=()) -> tuple:
 class Scan:
     """A coherence scan: a strictly increasing grid, the coherence on it and
     its sigma, all finite, with the coherence within [-0.05, 1.05]. A subclass
-    is a dataclass whose first three fields are those columns; it declares
-    its ``HEADER``, its ``GRID``'s name in messages, the sidecar object
-    ``_meta`` and ``_fields``, the keywords read back from a sidecar's value.
-    A scan read without a sidecar takes its defaults. A sidecar value the
-    scan refuses raises ``InputError``, a column value ``TableError``."""
+    is a dataclass of these columns, then fields, a pulse train (``family``,
+    ``n_pulses``) among them, that ``_meta`` writes to a sidecar and the schema
+    ``SIDECAR`` reads back (or defaults); ``HEADER`` and ``GRID`` name its
+    columns. A refused sidecar raises ``InputError``, a column ``TableError``."""
 
     def _columns(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)[:3]}
@@ -171,13 +169,13 @@ class Scan:
         grid, coherence, sigma = self._columns().values()
         names = ", ".join(self._columns())
         if not (len(grid) == len(coherence) == len(sigma)):
-            raise ValueError(f"{names} must have equal length")
+            raise TableError(f"{names} must have equal length")
         if not all(np.isfinite(a).all() for a in (grid, coherence, sigma)):
-            raise ValueError(f"{names} must be finite")
+            raise TableError(f"{names} must be finite")
         if np.any(grid[1:] <= grid[:-1]):  # np.diff could overflow
-            raise ValueError(f"{self.GRID} must be strictly increasing")
+            raise TableError(f"{self.GRID} must be strictly increasing")
         if np.any(coherence < -0.05) or np.any(coherence > 1.05):
-            raise ValueError("coherence outside [-0.05, 1.05]")
+            raise TableError("coherence outside [-0.05, 1.05]")
 
     def to_csv(self) -> str:
         return write_table(self.HEADER, *self._columns().values())
@@ -187,12 +185,14 @@ class Scan:
 
     @classmethod
     def from_csv(cls, text: str, sidecar: str | None = None):
+        from .sequences import check_train  # sequences imports this module
+
         columns = read_table(text, cls.HEADER)
-        try:  # a sidecar value the scan refuses: the CLI names the sidecar
-            keywords = {} if sidecar is None else cls._fields(load_json(sidecar))
+        fields = () if sidecar is None else read_object(load_json(sidecar), cls.SIDECAR)
+        scan = cls(*columns, *fields)
+        try:  # the sidecar's pulse train: the CLI names the sidecar
+            if fields:
+                check_train(scan.family, scan.n_pulses)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        try:
-            return cls(*columns, **keywords)
-        except ValueError as exc:  # only the table's columns are checked
-            raise TableError(str(exc)) from exc
+        return scan

@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,12 @@ class TestBasics:
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="no /proc/self/status"
     )
+    def test_package_refuses_a_name_it_does_not_export(self):
+        import nvsense
+
+        with pytest.raises(AttributeError, match="^module 'nvsense' has no attribute 'fit'$"):
+            nvsense.fit
+
     def test_cli_runs_blas_on_one_thread_unless_set(self):
         """Once the CLI and scipy.optimize are loaded, OPENBLAS_NUM_THREADS is 1
         and the process has one OS thread; a value already set is kept."""
@@ -964,6 +971,174 @@ def test_sense_settings_return_or_raise_one_line_errors(cfg):
     assert set(cfg) <= {"signal_t", "n_shots", "volts", "shots_per_point"}
 
 
+# each JSON input: a valid object, and the argv of a command that reads it
+# from BAD (a noise curves directory holding BAD as a curve's sidecar)
+JSON_INPUTS = {
+    "sense config": (SMALL_SENSE, ["--config", "BAD", "sense"]),
+    "grape problem": (SMALL_PROBLEM, ["grape", "BAD"]),
+    "depth sidecar": (
+        {"sequence": "XY16", "N": 4096, "b0_tesla": 0.2, "sample": "glycerine", "rho_per_nm3": 66.0},
+        ["depth", "DEPTH_CSV", "BAD"],
+    ),
+    "coherence sidecar": ({"family": "XY16", "N": 16}, ["noise", "CURVES"]),
+}
+
+
+def schema_of(name: str) -> dict:
+    from nvsense.cli import _GRAPE, _SENSE
+    from nvsense.depth import DepthDataset
+    from nvsense.sequences import CoherenceCurve
+
+    return {
+        "sense config": _SENSE,
+        "grape problem": _GRAPE,
+        "depth sidecar": DepthDataset.SIDECAR,
+        "coherence sidecar": CoherenceCurve.SIDECAR,
+    }[name]
+
+
+def json_objects(name: str):
+    """Any JSON value; objects over the input's keys and an unknown one; and
+    the input's valid object (its defaults filled in) with keys dropped, or
+    added or set, each value a valid one, a number, a triple of numbers, a
+    name that some key takes, or any JSON value."""
+    from nvsense.errors import REQUIRED
+
+    schema, (valid, _) = schema_of(name), JSON_INPUTS[name]
+    valid = {**{k: row[1] for k, row in schema.items() if row[1] is not REQUIRED}, **valid}
+    valid["unknown"] = 0
+    names = st.sampled_from(["x", "y", "z", "XY16", "XY8", "CPMG", "RAMSEY", "glycerine"])
+    triples = st.tuples(NUMBERS, NUMBERS, st.integers(8, 64) | NUMBERS).map(list)
+    values = {
+        key: st.just(valid[key]) | NUMBERS | triples | names | JSON_VALUES
+        for key in [*schema, "unknown"]
+    }
+    edits = st.sets(st.sampled_from(sorted(values)), max_size=2).flatmap(
+        lambda keys: st.fixed_dictionaries({key: values[key] for key in keys})
+    )
+    dropped = st.sets(st.sampled_from(sorted(schema)), max_size=1)
+    return (
+        JSON_VALUES
+        | st.fixed_dictionaries({}, optional={key: values[key] for key in schema})
+        | st.builds(
+            lambda gone, edit: {**{k: valid[k] for k in schema if k not in gone}, **edit},
+            dropped,
+            edits,
+        )
+    )
+
+
+def read_capped(obj, schema):
+    """``read_object`` under an address-space cap, so that a sweep of 10^9
+    points fails at once as MemoryError."""
+    from nvsense.errors import read_object
+
+    with address_space_capped(256 * 2**20):
+        return read_object(obj, schema)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="no /proc/self/status"
+)
+@pytest.mark.parametrize("name", JSON_INPUTS)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_reader_returns_every_row_or_refuses_with_one_line(name, data):
+    """Over every JSON input's schema, ``errors.read_object`` returns one
+    value per row, each read by its reader and passing its rules, for an
+    object whose keys are the schema's; or it raises ``KeyError`` for a
+    required key that is absent, or ``InputError`` with one line that names
+    the key, the unknown key or the value that is not an object. A sweep too
+    large to allocate raises ``MemoryError`` (the CLI exits 4)."""
+    from nvsense.errors import REQUIRED, InputError, as_float, as_int
+
+    schema = schema_of(name)
+    obj = data.draw(json_objects(name))
+    try:
+        values = read_capped(obj, schema)
+    except KeyError as exc:
+        (key,) = exc.args
+        assert schema[key][1] is REQUIRED and key not in obj
+        return
+    except MemoryError:
+        assert name == "sense config" and "volts" in obj
+        return
+    except InputError as exc:
+        message = str(exc)
+        assert "\n" not in message
+        if not isinstance(obj, dict):
+            assert message == f"expected a JSON object, got {type(obj).__name__}"
+        elif set(obj) - set(schema):
+            assert message == f"unknown key {next(k for k in obj if k not in schema)!r}"
+        else:
+            assert message.startswith(tuple(schema))
+        return
+    assert isinstance(obj, dict) and set(obj) <= set(schema)
+    assert len(values) == len(schema)
+    for (key, (reader, default, *rules)), value in zip(schema.items(), values):
+        assert default is not REQUIRED or key in obj
+        if reader is None:
+            assert value is obj.get(key, default)
+        elif reader is as_int:
+            assert type(value) is int
+        elif reader is as_float:
+            assert type(value) is float and math.isfinite(value)
+        assert all(test(value) for test, _ in rules)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="no /proc/self/status"
+)
+@pytest.mark.parametrize("name", JSON_INPUTS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_command_refuses_what_the_reader_refuses(name, data, depth_bundle, noise_bundle):
+    """For each command with a JSON input, an object ``read_object`` refuses
+    exits 3 with exactly one line, ``error: <the input's path>: ...``, no
+    traceback, and nothing under --out. The command runs in process."""
+    from click.testing import CliRunner
+
+    from nvsense.cli import main
+    from nvsense.errors import InputError
+
+    obj = data.draw(json_objects(name))
+    try:
+        read_capped(obj, schema_of(name))
+        return  # taken: the command would run
+    except MemoryError:
+        return
+    except (InputError, KeyError):
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        curves = Path(tmp, "curves")
+        curves.mkdir()
+        shutil.copy(noise_bundle / "coherence_n16.csv", curves)
+        bad = curves / "coherence_n16.json" if name == "coherence sidecar" else Path(tmp, "bad.json")
+        bad.write_text(json.dumps(obj))
+        places = {"BAD": bad, "DEPTH_CSV": depth_bundle / "depth_dataset.csv", "CURVES": curves}
+        args = [str(places.get(arg, arg)) for arg in JSON_INPUTS[name][1]]
+        out = Path(tmp, "out")
+        result = CliRunner().invoke(main, ["--out", str(out), *args])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 3
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+        assert result.stdout == ""
+        assert list(out.iterdir()) == []
+
+
+def test_readme_table_holds_every_schema_row():
+    """README's table of the JSON inputs lists each schema key with its
+    default, so the table cannot drift from the readers."""
+    from nvsense.errors import REQUIRED
+
+    rows = [line.strip() for line in (ROOT / "README.md").read_text().splitlines()]
+    for name in JSON_INPUTS:
+        for key, (_, default, *_) in schema_of(name).items():
+            shown = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+            assert any(row.startswith(f"| {name} | `{key}` | {shown} |") for row in rows), key
+
+
 MANIFEST_VALUES = (
     JSON_VALUES
     | st.text(max_size=8)
@@ -1187,8 +1362,8 @@ class TestSenseCommand:
     def test_sweep_beyond_the_parabola_scaling_exits_3_with_one_line(self, tmp_path):
         """At 1e-100 V a voltage's fourth power underflows, so the parabola
         check's scaled Vandermonde matrix is not finite: sense refuses the
-        sweep, naming it, with no LAPACK or numpy line before the error and
-        before it simulates or writes anything."""
+        sweep, naming the config and the sweep, with no LAPACK or numpy line
+        before the error and before it simulates or writes anything."""
         cfg = tmp_path / "cfg.json"
         edit = {"n_shots": 2000, "shots_per_point": 100, "volts": [0, 1e-100, 8]}
         cfg.write_text(json.dumps(edit))
@@ -1196,7 +1371,7 @@ class TestSenseCommand:
         proc = run_cli("--config", cfg, "--out", out, "sense", check=False)
         assert proc.returncode == 3
         (line,) = proc.stderr.splitlines()
-        assert line.startswith("error: voltage sweep from 0.0 to 1e-100 V ")
+        assert line.startswith(f"error: {cfg}: voltage sweep from 0.0 to 1e-100 V ")
         assert not (out / "manifest.json").exists()
         assert list(out.iterdir()) == []
 
@@ -1357,9 +1532,17 @@ JSON_EDITS = {
     "coherence-sidecar-family-unknown": {"family": "FOO"},
     "coherence-sidecar-n-not-multiple": {"N": 17},
     "coherence-sidecar-ramsey-pulses": {"family": "RAMSEY", "N": 16},
+    "problem-n-pieces-zero": {"n_pieces": 0},
+    "problem-piece-duration-negative": {"piece_duration_s": -1},
+    "problem-max-rabi-zero": {"max_rabi_hz": 0},
+    "config-volts-beyond-the-parabola-scaling": {"volts": [0, 1e-100, 8]},
+    "config-volts-count-beyond-numpy": {"volts": [0, 0.4, 2**63 - 1]},
+    "depth-sidecar-unknown-key": {"sequense": "XY16"},
+    "coherence-sidecar-unknown-key": {"famliy": "XY16"},
 }
 # values a command refuses before any output: the message after the path
 REFUSALS = {
+    "config-list": "expected a JSON object, got list",
     "config-unknown-key": "unknown key 'n_shot'",
     "problem-unknown-key": "unknown key 'target_infidelty'",
     "problem-max-rabi-overflow": "max_rabi_hz 1e+300 over piece_duration_s 2.5e-08 "
@@ -1371,12 +1554,26 @@ REFUSALS = {
     "depth-sidecar-n-not-multiple": "XY16 needs a positive multiple of 16 pulses",
     "depth-sidecar-sample-number": "sample must be a string, got 5",
     "depth-sidecar-rho-zero": "rho_per_nm3 must be > 0, got 0",
-    "depth-sidecar-rho-overflow": "rho_per_nm3 1e+300 gives a proton density that is not finite",
-    "depth-sidecar-b0-overflow": "b0_tesla 1e+300 gives a proton Larmor frequency that is not finite",
+    "depth-sidecar-rho-overflow": "rho_per_nm3 gives a proton density that is not finite, got 1e+300",
+    "depth-sidecar-b0-overflow": "b0_tesla gives a proton Larmor frequency that is not finite, "
+    "got 1e+300",
     "depth-sidecar-b0-negative": "b0_tesla must be > 0, got -0.035",
     "coherence-sidecar-family-unknown": "unknown sequence family 'FOO'",
     "coherence-sidecar-n-not-multiple": "XY16 needs a positive multiple of 16 pulses",
     "coherence-sidecar-ramsey-pulses": "RAMSEY carries no pi pulses",
+    # the library's own rules, which name no file, named by the CLI
+    "problem-axis-z": "rotation axis must be 'x' or 'y', got 'z'",
+    "problem-n-pieces-zero": "n_pieces must be >= 1",
+    "problem-piece-duration-negative": "piece_duration and max_rabi_hz must be > 0",
+    "problem-max-rabi-zero": "piece_duration and max_rabi_hz must be > 0",
+    "config-volts-beyond-the-parabola-scaling": "voltage sweep from 0.0 to 1e-100 V cannot be "
+    "checked against a parabola: its voltages' powers leave the float range",
+    # numpy cannot size a grid of 2**63 - 1 floats (an IndexError, not a MemoryError)
+    "config-volts-count-beyond-numpy": "volts must be [lo, hi, count] with lo != hi and "
+    "8 <= count < 2**59, got [0, 0.4, 9223372036854775807]",
+    # sidecars hold only the keys their scan reads back
+    "depth-sidecar-unknown-key": "unknown key 'sequense'",
+    "coherence-sidecar-unknown-key": "unknown key 'famliy'",
 }
 NON_FINITE = ("-nan", "-inf")
 # a TypeError, a non-finite number, a JSON text that does not parse and a

@@ -113,6 +113,11 @@ class TestProtonSignal:
         with pytest.raises(ValueError):
             proton_signal_coherence(m, 64, [0.0, TAU_LARMOR], B0_MEAS)
 
+    @pytest.mark.parametrize("rho, d_nv", [(0.0, 31.7e-9), (RHO_GLYCERINE, -1e-9)])
+    def test_nonpositive_density_or_depth_rejected(self, rho, d_nv):
+        with pytest.raises(ValueError, match="^rho and d_nv must be > 0$"):
+            ProtonBathModel(rho=rho, d_nv=d_nv)
+
     def test_dip_deepens_with_shallower_nv(self):
         shallow = make_dataset(20e-9, 512).coherence.min()
         deep = make_dataset(40e-9, 512).coherence.min()
@@ -169,6 +174,16 @@ class TestFitDepth:
         )
         with pytest.raises(NumericalError, match="no visible dip"):
             fit_depth(flat)
+
+    def test_dip_off_the_larmor_resonance_is_no_amplitude(self):
+        """A scan that dips only where the proton line cannot reach, and rises
+        above 1 at the resonance, projects onto no dip amplitude."""
+        data = make_dataset(31.7e-9, 4096)
+        coherence = np.where(data.coherence < 0.99, 1.04, 1.0)
+        coherence[0] = 0.9
+        off = DepthDataset(data.taus, coherence, data.sigma, data.n_pulses, data.b0)
+        with pytest.raises(NumericalError, match="^dip amplitude fitted to zero$"):
+            fit_depth(off)
 
     def test_rho_degeneracy_cube_root(self):
         # fitting with doubled density shifts the depth by exactly 2^(1/3)

@@ -37,8 +37,13 @@ BOX = ([0, 0], [10, 10])
         # an unbounded fit's covariance of a parameter the model ignores,
         # found after the fit
         (flat, X, (1.0, 1.0), (-np.inf, np.inf), 20000, r"not finite with 9 point\(s\)$", None),
+        # bounded, curve_fit's pseudo-inverse gives that parameter a variance of 0
+        (flat, X, (1.0, 1.0), BOX, 20000, "^flat fit cannot fix k: its variance is 0$", None),
     ],
-    ids=["no-convergence", "start-outside-bounds", "singular-covariance", "unfixed-parameter"],
+    ids=[
+        "no-convergence", "start-outside-bounds", "singular-covariance", "unfixed-parameter",
+        "unfixed-parameter-in-bounds",
+    ],
 )
 def test_least_squares_refusals_raise_without_warning(model, x, p0, bounds, maxfev, message, cause):
     with warnings.catch_warnings(record=True) as caught:

@@ -139,6 +139,11 @@ def test_waveform_mismatch_rejected():
         fidelity(prob, Waveform(np.zeros(3), np.zeros(3), DT))
 
 
+def test_waveform_parts_of_unequal_length_rejected():
+    with pytest.raises(ValueError, match="^real/imag parts must have the same length$"):
+        Waveform(np.zeros(3), np.zeros(4), DT)
+
+
 def test_ensemble_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         GrapeProblem(

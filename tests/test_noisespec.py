@@ -361,3 +361,26 @@ class TestNoiseSpectrumIO:
         assert spec.evaluate(1e3) == pytest.approx(s[0], rel=1e-12)
         mid = math.sqrt(w[3] * w[4])
         assert spec.evaluate(mid) == pytest.approx(math.sqrt(s[3] * s[4]), rel=1e-12)
+
+
+XY16 = DDSequence("XY16", 16, 1e-4)
+# each input guard of the noisespec module: a call it refuses and its message
+GUARDS = {
+    "spectrum-shapes-differ": (
+        lambda: NoiseSpectrum(np.array([1.0, 2.0]), np.array([1.0])),
+        "omega and s must have the same shape",
+    ),
+    "zeroth-coherence-zero": (lambda: spectrum_zeroth(0.0, XY16), "coherence must be > 0, got 0.0"),
+    "zeroth-coherence-above-one": (
+        lambda: spectrum_zeroth(1.5, XY16), "coherence must be <= 1, got 1.5"
+    ),
+    "reconstruct-no-points": (lambda: reconstruct_spectrum([]), "need at least one coherence point"),
+    "db-zero-density": (lambda: db_below_erl(0.0, 31.7e-9), "measured density must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_guard_refuses_with_its_message(case):
+    call, message = GUARDS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

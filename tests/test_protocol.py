@@ -507,3 +507,58 @@ class TestSensitivityRun:
         finally:
             tracemalloc.stop()
         assert peak < n * 8 / 4
+
+
+# each library guard of the protocol module: a call it refuses and its message
+GUARDS = {
+    "photon-mean-zero": (lambda: ChargeReadoutModel(mean_photons_minus=0.0), "photon means must be > 0"),
+    "equilibrium-fraction-one": (
+        lambda: ChargeReadoutModel(equilibrium_fraction=1.0),
+        r"equilibrium fraction must be in \(0, 1\)",
+    ),
+    "max-cycles-zero": (lambda: ChargeReadoutModel(max_cycles=0), "max_cycles and threshold must be >= 1"),
+    "charge-init-no-trials": (
+        lambda: simulate_charge_init(ChargeReadoutModel(), 0, seed=0), "n_trials must be >= 1"
+    ),
+    "readout-photon-mean-negative": (
+        lambda: ReadoutChainModel(mean_photons_zero=-0.01), "photon means must be >= 0"
+    ),
+    "readout-cycles-negative": (lambda: ReadoutChainModel(n_cycles=-1), "n_cycles must be >= 0"),
+    "readout-state-two": (
+        lambda: simulate_repetitive_readout(ReadoutChainModel(), 2, 10, seed=0),
+        "true_state must be 0 or 1",
+    ),
+    "readout-no-shots": (
+        lambda: simulate_repetitive_readout(ReadoutChainModel(), 1, 0, seed=0),
+        "n_shots must be >= 1",
+    ),
+    "experiment-no-shots": (lambda: run_experiment(nv3_config(), 1e-9, 0, seed=0), "n_shots must be >= 1"),
+    "experiment-no-workers": (
+        lambda: run_experiment(nv3_config(), 1e-9, 10, seed=0, workers=0), "workers must be >= 1"
+    ),
+    "fringe-no-shots": (
+        lambda: simulate_fringe(nv3_config(), [0.0], shots_per_point=0, seed=0),
+        "shots_per_point must be >= 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_guard_refuses_with_its_message(case):
+    call, message = GUARDS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_no_helper_thread_without_a_batch_for_it(monkeypatch):
+    """Workers beyond the number of shot batches would draw nothing, so
+    ``run_experiment`` starts none for them: one batch runs on the calling
+    thread alone, whatever ``workers`` asks for."""
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    cfg = nv3_config()
+    run = run_experiment(cfg, 1e-9, BATCH_SIZE, seed=4, workers=8)
+    assert started == []
+    serial = run_experiment(cfg, 1e-9, BATCH_SIZE, seed=4)
+    np.testing.assert_array_equal(run.photons, serial.photons)
+    np.testing.assert_array_equal(run.init_cycles, serial.init_cycles)

@@ -326,3 +326,46 @@ class TestMagnetometerCsv:
         row[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             MagnetometerRecord(**row)
+
+
+SHOTS = np.arange(100) % 7
+SIGNS = np.where(np.arange(100) % 2, -1, 1)
+# each input guard of the sensitivity module: a call it refuses and its message
+GUARDS = {
+    "budget-overhead-negative": (
+        lambda: SensitivityBudget(t_c=1e-3, c=0.5, f_i=0.9, f_r=0.8, t_ir=-1e-3),
+        "t_ir must be >= 0",
+    ),
+    "fringe-two-dimensional": (
+        lambda: fit_fringe(np.zeros((2, 8)), np.zeros((2, 8)), 1e-3),
+        "volts and counts must be 1-D and equally long",
+    ),
+    "fringe-unequal-lengths": (
+        lambda: fit_fringe(np.linspace(0, 1, 9), np.ones(8), 1e-3),
+        "volts and counts must be 1-D and equally long",
+    ),
+    "fringe-seven-points": (
+        lambda: fit_fringe(np.linspace(0, 1, 7), np.ones(7), 1e-3), "need at least 8 fringe points"
+    ),
+    "fringe-zero-span": (
+        lambda: fit_fringe(np.full(8, 0.2), np.arange(8.0), 1e-3), "voltage sweep has zero span"
+    ),
+    "timeseries-zero-amplitude": (
+        lambda: sensitivity_from_timeseries(SHOTS, SIGNS, 0.0, 1e-3),
+        "amplitude and shot duration must be > 0",
+    ),
+    "timeseries-zero-shot-duration": (
+        lambda: sensitivity_from_timeseries(SHOTS, SIGNS, 1e-9, 0.0),
+        "amplitude and shot duration must be > 0",
+    ),
+    "erl-negative-eta": (lambda: erl_compute(-1e-9, 4e-9), "eta must be >= 0 and l_eff > 0"),
+    "erl-zero-l-eff": (lambda: erl_compute(1e-9, 0.0), "eta must be >= 0 and l_eff > 0"),
+    "db-zero-e-r": (lambda: db_below_quantum_limit(0.0), "E_R must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_guard_refuses_with_its_message(case):
+    call, message = GUARDS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

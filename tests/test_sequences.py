@@ -169,3 +169,22 @@ class TestCoherenceCurveIO:
                 arrays[column][0] = bad
                 with pytest.raises(ValueError, match="must be finite"):
                     CoherenceCurve(*arrays)
+
+
+XY16 = DDSequence("XY16", 16, 1e-4)
+# each input guard of the sequences module: a call it refuses and its message
+GUARDS = {
+    "train-no-time": (lambda: DDSequence("XY16", 16, 0.0), "total_time must be > 0"),
+    "comb-negative-harmonics": (lambda: filter_delta_comb(XY16, -1), "k_max must be >= 0"),
+    "spectrum-negative": (
+        lambda: coherence_from_spectrum(lambda w: -np.ones_like(w), XY16),
+        "spectrum must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GUARDS)
+def test_guard_refuses_with_its_message(case):
+    call, message = GUARDS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
